@@ -52,7 +52,7 @@ from .dataforge import (
 )
 from .gla import gla_attend, gla_oracle
 from .imageio import ImageIOError, read_mask, read_ppm, write_mask, write_ppm
-from .tensor import Tensor, check_gradient, mean_square
+from .tensor import Tensor, add, check_gradient, mean_square, mul, reduce_sum
 from .trainer import (
     TAG_INIT,
     TAG_SAMPLE,
@@ -275,9 +275,34 @@ def _suite_grad(seed: int) -> tuple[bool, str]:
     def f(p: Tensor) -> Tensor:
         return mean_square(interaction_forward(p, e, params))
 
-    report = check_gradient(f, Tensor(x, requires_grad=True), max_probes=12, rng=np.random.default_rng(0))
-    ok = report.ok(rel_tol=1e-4, abs_tol=1e-6)
-    return ok, f"max rel err {report.max_rel_err:.3e} on {report.probed} probed coordinates"
+    reports = [check_gradient(f, Tensor(x, requires_grad=True), max_probes=12, rng=np.random.default_rng(0))]
+
+    # The fused gla_attend node's hand-written vjp, probed on each of its six
+    # inputs (q, k, v, alpha, beta, s0) with both outputs reaching the loss.
+    lead, length, dk, dv = (2,), 5, 3, 4
+    inputs = [
+        rng.standard_normal(lead + (length, dk)),
+        rng.standard_normal(lead + (length, dk)),
+        rng.standard_normal(lead + (length, dv)),
+        rng.uniform(0.1, 0.999, lead + (length, dk)),
+        rng.uniform(0.1, 0.999, lead + (length, dv)),
+        rng.standard_normal(lead + (dk, dv)),
+    ]
+    w_reads = Tensor(rng.standard_normal(lead + (length, dv)))
+    w_state = Tensor(rng.standard_normal(lead + (dk, dv)))
+    for i in range(len(inputs)):
+
+        def attend_loss(p: Tensor, i: int = i) -> Tensor:
+            args = [Tensor(a) for a in inputs]
+            args[i] = p
+            reads, state = gla_attend(*args)
+            return add(reduce_sum(mul(reads, w_reads)), reduce_sum(mul(state, w_state)))
+
+        reports.append(check_gradient(attend_loss, Tensor(inputs[i]), max_probes=8, rng=np.random.default_rng(0)))
+    ok = all(r.ok(rel_tol=1e-4, abs_tol=1e-6) for r in reports)
+    worst = max(r.max_rel_err for r in reports)
+    probed = sum(r.probed for r in reports)
+    return ok, f"max rel err {worst:.3e} on {probed} probed coordinates (interaction block and gla_attend)"
 
 
 def _suite_mask(seed: int) -> tuple[bool, str]:

@@ -12,6 +12,22 @@ every entry lies in (0, 1) and ``tau`` tempers how fast memory fades. The
 block output re-gates the normalized read with a swish gate and projects
 back to model width: ``L_hat_t = (R_t (*) layernorm(O_t)) W_o``.
 
+``gla_attend`` runs the recurrence on numpy arrays and records the whole
+scan as one tape node that keeps the L+1 states. Its vjp is a reverse scan,
+built from products and sums only, so gates of exactly 0 stay exact. dS
+starts as the cotangent of the final state (zero when it has none), and for
+t = L-1 down to 0:
+
+    dS += Q_t^T g_t                      (g_t: cotangent of O_t)
+    dQ_t = g_t S_t^T,  dK_t = V_t dS^T,  dV_t = K_t dS
+    dG = dS (*) S_{t-1},  dalpha_t = dG beta_t^T,  dbeta_t = alpha_t dG
+    dS = dS (*) G_t
+
+and the ``s0`` cotangent is the final dS. Each product is formed with the
+same numpy call shapes the per-token tape composition used, so values and
+gradients are bitwise those of that composition. Multiple heads are a
+reshaped lead axis, so a mixer makes one call whatever ``heads`` is.
+
 ``gla_oracle`` recomputes O from the fully unrolled sum with explicit gate
 products. It shares no code with the recurrence; the two routes anchor each
 other and the equivalence is enforced by tests.
@@ -20,35 +36,30 @@ other and the equivalence is enforced by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .tensor import (
     ShapeError,
-    Tape,
     Tensor,
+    _record,
     add,
     as_tensor,
-    concat,
     layernorm,
     matmul,
     mul,
-    narrow,
     power,
     reshape,
     sigmoid,
-    swap_last,
     swish,
+    transpose,
 )
 
 __all__ = [
     "GlaParams",
-    "GlaState",
     "init_gla_params",
     "gla_project",
     "gla_attend",
-    "gla_scan",
     "gla_apply",
     "gla_oracle",
 ]
@@ -96,25 +107,6 @@ class GlaParams:
             "b_r": self.b_r,
             "w_o": self.w_o,
         }
-
-
-@dataclass
-class GlaState:
-    """Recurrent state carried across scan calls.
-
-    Single-head layout is ``(dk, dv)`` (with optional leading batch axes);
-    multi-head layout inserts a head axis: ``(heads, dk/heads, dv/heads)``.
-    """
-
-    s: Tensor
-
-    @staticmethod
-    def zeros(dk: int, dv: int, heads: int = 1, lead: tuple[int, ...] = ()) -> "GlaState":
-        if heads == 1:
-            shape = lead + (dk, dv)
-        else:
-            shape = lead + (heads, dk // heads, dv // heads)
-        return GlaState(Tensor(np.zeros(shape)))
 
 
 def init_gla_params(
@@ -174,9 +166,9 @@ def gla_project(l_in, params: GlaParams):
 
 
 def _validate_attend(q: Tensor, k: Tensor, v: Tensor, alpha: Tensor, beta: Tensor) -> None:
-    if not (q.shape[-2] == k.shape[-2] == v.shape[-2] == alpha.shape[-2] == beta.shape[-2]):
+    if not (q.shape[:-1] == k.shape[:-1] == v.shape[:-1] == alpha.shape[:-1] == beta.shape[:-1]):
         raise ShapeError(
-            "gla_attend: sequence lengths disagree: "
+            "gla_attend: lead axes or sequence lengths disagree: "
             f"Q{q.shape} K{k.shape} V{v.shape} alpha{alpha.shape} beta{beta.shape}"
         )
     if not (q.shape[-1] == k.shape[-1] == alpha.shape[-1]):
@@ -189,66 +181,92 @@ def gla_attend(q, k, v, alpha, beta, s0: Tensor | None = None) -> tuple[Tensor, 
     """Run the gated recurrence; returns the per-token reads O and the final state.
 
     The state starts at zero unless ``s0`` resumes an earlier scan. Leading
-    batch axes are carried through untouched.
+    batch axes, shared by all inputs, are carried through untouched. The
+    whole scan is one tape node whose vjp is the reverse scan described in
+    the module docstring.
     """
     q, k, v, alpha, beta = (as_tensor(t) for t in (q, k, v, alpha, beta))
     _validate_attend(q, k, v, alpha, beta)
-    length = q.shape[-2]
-    lead = q.shape[:-2]
-    dk, dv = q.shape[-1], v.shape[-1]
-    state = as_tensor(s0) if s0 is not None else Tensor(np.zeros(lead + (dk, dv)))
-    if state.shape[-2:] != (dk, dv):
-        raise ShapeError(f"gla_attend: state shape {state.shape} does not end in ({dk}, {dv})")
-    k_cols = swap_last(k)
-    a_cols = swap_last(alpha)
-    reads = []
+    lead, length = q.shape[:-2], q.shape[-2]
+    state_shape = lead + (q.shape[-1], v.shape[-1])
+    start = as_tensor(s0) if s0 is not None else Tensor(np.zeros(state_shape))
+    if start.shape != state_shape:
+        raise ShapeError(f"gla_attend: state shape {start.shape} != {state_shape}")
+    q_a, k_a, v_a, a_a, b_a = (t.data for t in (q, k, v, alpha, beta))
+
+    # Gates and updates are outer products of one row each; states[..., t, :, :]
+    # is S_{t-1}, so states[..., 0, :, :] is the starting state.
+    gates = a_a[..., :, None] * b_a[..., None, :]
+    updates = k_a[..., :, None] * v_a[..., None, :]
+    states = np.empty(lead + (length + 1,) + state_shape[-2:])
+    states[..., 0, :, :] = start.data
     for t in range(length):
-        gate = matmul(narrow(a_cols, -1, t, 1), narrow(beta, -2, t, 1))
-        update = matmul(narrow(k_cols, -1, t, 1), narrow(v, -2, t, 1))
-        state = add(mul(gate, state), update)
-        reads.append(matmul(narrow(q, -2, t, 1), state))
-    return concat(reads, axis=-2), state
+        s = states[..., t + 1, :, :]
+        np.multiply(gates[..., t, :, :], states[..., t, :, :], out=s)
+        s += updates[..., t, :, :]
+    reads = Tensor((q_a[..., :, None, :] @ states[..., 1:, :, :])[..., 0, :])
+    final = Tensor(states[..., length, :, :].copy())
+
+    def vjp(cotangents):
+        g_reads, g_final = cotangents
+        g = np.zeros(reads.shape) if g_reads is None else np.ascontiguousarray(g_reads)
+        carry = np.zeros(state_shape) if g_final is None else g_final
+        # d_states[..., t, :, :] is the cotangent of S_t: the read q_t^T g_t
+        # plus what flows back from S_{t+1} through its gate.
+        reads_back = q_a[..., :, :, None] * g[..., :, None, :]
+        d_states = np.empty(lead + (length,) + state_shape[-2:])
+        for t in range(length - 1, -1, -1):
+            ds = d_states[..., t, :, :]
+            np.add(carry, reads_back[..., t, :, :], out=ds)
+            carry = ds * gates[..., t, :, :]
+        d_gates = d_states * states[..., :-1, :, :]
+        # Every product keeps the shapes and unit-stride rows (hence the
+        # contiguous g) the per-token composition gave numpy: a row times a
+        # matrix, or a matrix times a column. BLAS then sums each one in the
+        # same order, and the gradients match that composition bit for bit.
+        return (
+            (g[..., :, None, :] @ np.swapaxes(states[..., 1:, :, :], -1, -2))[..., 0, :],
+            (d_states @ v_a[..., :, :, None])[..., 0],
+            (k_a[..., :, None, :] @ d_states)[..., 0, :],
+            (d_gates @ b_a[..., :, :, None])[..., 0],
+            (a_a[..., :, None, :] @ d_gates)[..., 0, :],
+            carry,
+        )
+
+    _record(reads, (q, k, v, alpha, beta, start), vjp, "gla_attend", extra=(final,))
+    return reads, final
 
 
-def gla_scan(q, k, v, alpha, beta, r_gate, s0: GlaState | None, params: GlaParams) -> Tensor:
-    """Full post-projection pipeline: recurrence, norm, output gate, W_o.
-
-    The pre-output-gate reads (what ``gla_oracle`` reproduces) are the
-    ``gla_attend`` output; this wrapper adds ``(R (*) layernorm(O)) W_o``.
-    """
-    q, k, v, alpha, beta, r_gate = (as_tensor(t) for t in (q, k, v, alpha, beta, r_gate))
-    if r_gate.shape[-1] != params.dv:
-        raise ShapeError(f"gla_scan: output gate width {r_gate.shape[-1]} != dv {params.dv}")
-    heads = params.heads
+def _split_heads(x: Tensor, heads: int) -> Tensor:
+    """(..., L, heads * w) -> (..., heads, L, w): heads become a lead axis."""
     if heads == 1:
-        o, _ = gla_attend(q, k, v, alpha, beta, s0.s if s0 is not None else None)
-    else:
-        dkh = q.shape[-1] // heads
-        dvh = v.shape[-1] // heads
-        reads = []
-        for h in range(heads):
-            if s0 is not None:
-                lead = s0.s.shape[:-3]
-                s_h = reshape(narrow(s0.s, -3, h, 1), lead + (dkh, dvh))
-            else:
-                s_h = None
-            o_h, _ = gla_attend(
-                narrow(q, -1, h * dkh, dkh),
-                narrow(k, -1, h * dkh, dkh),
-                narrow(v, -1, h * dvh, dvh),
-                narrow(alpha, -1, h * dkh, dkh),
-                narrow(beta, -1, h * dvh, dvh),
-                s_h,
-            )
-            reads.append(o_h)
-        o = concat(reads, axis=-1)
-    return matmul(mul(r_gate, layernorm(o)), params.w_o)
+        return x
+    *lead, length, width = x.shape
+    n = len(lead)
+    x = reshape(x, (*lead, length, heads, width // heads))
+    return transpose(x, tuple(range(n)) + (n + 1, n, n + 2))
 
 
-def gla_apply(l_in, params: GlaParams, s0: GlaState | None = None) -> Tensor:
-    """Project ``l_in`` and scan it: the standalone mixer pipeline."""
+def _merge_heads(x: Tensor, heads: int) -> Tensor:
+    """Inverse of ``_split_heads``: (..., heads, L, w) -> (..., L, heads * w)."""
+    if heads == 1:
+        return x
+    *lead, _, length, width = x.shape
+    n = len(lead)
+    x = transpose(x, tuple(range(n)) + (n + 1, n, n + 2))
+    return reshape(x, (*lead, length, heads * width))
+
+
+def gla_apply(l_in, params: GlaParams) -> Tensor:
+    """The standalone mixer: project ``l_in``, scan it, then ``(R (*) layernorm(O)) W_o``.
+
+    Every head runs in the same ``gla_attend`` call; the pre-output-gate reads
+    O are what ``gla_oracle`` reproduces.
+    """
     q, k, v, alpha, beta, r_gate = gla_project(l_in, params)
-    return gla_scan(q, k, v, alpha, beta, r_gate, s0, params)
+    heads = params.heads
+    o, _ = gla_attend(*(_split_heads(t, heads) for t in (q, k, v, alpha, beta)))
+    return matmul(mul(r_gate, layernorm(_merge_heads(o, heads))), params.w_o)
 
 
 def gla_oracle(q, k, v, alpha, beta) -> Tensor:

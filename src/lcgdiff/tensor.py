@@ -149,13 +149,16 @@ class Node:
     """One recorded primitive: its output, inputs, and a vjp closure.
 
     ``vjp`` maps the output cotangent to one cotangent per input (or None
-    for inputs that do not need one).
+    for inputs that do not need one). A primitive with further outputs lists
+    them in ``extra``; its vjp then receives a tuple with one cotangent per
+    output, ``output`` first, and None for outputs that did not reach the loss.
     """
 
     output: Tensor
     inputs: tuple[Tensor, ...]
     vjp: Callable[[np.ndarray], tuple]
     name: str
+    extra: tuple[Tensor, ...] = ()
 
 
 _tls = threading.local()
@@ -192,11 +195,12 @@ class Tape:
         return backward(self, loss)
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp, name: str) -> Tensor:
+def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp, name: str, extra: tuple[Tensor, ...] = ()) -> Tensor:
     stack = _tape_stack()
     if stack and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        stack[-1].nodes.append(Node(out, inputs, vjp, name))
+        for t in (out, *extra):
+            t.requires_grad = True
+        stack[-1].nodes.append(Node(out, inputs, vjp, name, extra))
     return out
 
 
@@ -209,11 +213,15 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    produced = {id(node.output) for node in tape.nodes}
+    produced = {id(t) for node in tape.nodes for t in (node.output, *node.extra)}
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
         g = grads.pop(id(node.output), None)
-        if g is None:
+        if node.extra:
+            g = (g, *(grads.pop(id(t), None) for t in node.extra))
+            if all(part is None for part in g):
+                continue
+        elif g is None:
             continue
         partials = node.vjp(g)
         for t, gi in zip(node.inputs, partials):

@@ -131,6 +131,26 @@ def _restore_opt(state: AdamWState, arrays: dict[str, np.ndarray], step: int) ->
     state.step = step
 
 
+def _cut_loss_log(path: Path, step: int) -> None:
+    """Keep the header and the rows of steps before ``step``.
+
+    A run that crashed after its last checkpoint logged steps the resumed
+    run replays; without the cut they would appear twice. A torn last line
+    has no newline and is dropped too. A missing log stays missing; the
+    resumed run then starts a fresh one without a header, as it always has.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line for line in fh if line.endswith("\n")]
+    except FileNotFoundError:
+        return
+    kept = [line for line in lines if line.startswith("#") or int(line.split("\t", 1)[0]) < step]
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
+    os.replace(tmp, path)
+
+
 class _Lock:
     def __init__(self, out_dir: Path):
         self.path = out_dir / "lock"
@@ -203,6 +223,7 @@ def train(
             _restore_opt(opt_state, opt_arrays, saved_step)
             start_step = saved_step
             log.info("resumed at step %d from %s", start_step, latest)
+            _cut_loss_log(log_path, start_step)
         else:
             with open(log_path, "w", encoding="utf-8") as fh:
                 for line in config_text.rstrip("\n").split("\n"):

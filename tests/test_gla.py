@@ -1,30 +1,56 @@
 """Gated-linear-attention semantics: recurrence vs oracle, gates, causality."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcgdiff import tensor as T
+from lcgdiff.config import default_config, denoiser_config
+from lcgdiff.denoiser import denoise, init_denoiser
 from lcgdiff.gla import (
-    GlaState,
     gla_apply,
     gla_attend,
     gla_oracle,
     gla_project,
-    gla_scan,
     init_gla_params,
 )
 from lcgdiff.tensor import ShapeError, Tape, Tensor, backward
 
 
-def _random_instance(rng, length, dk, dv):
-    q = rng.standard_normal((length, dk))
-    k = rng.standard_normal((length, dk))
-    v = rng.standard_normal((length, dv))
-    alpha = rng.uniform(0.05, 0.999, size=(length, dk))
-    beta = rng.uniform(0.05, 0.999, size=(length, dv))
+def _random_instance(rng, length, dk, dv, lead=()):
+    q = rng.standard_normal(lead + (length, dk))
+    k = rng.standard_normal(lead + (length, dk))
+    v = rng.standard_normal(lead + (length, dv))
+    alpha = rng.uniform(0.05, 0.999, size=lead + (length, dk))
+    beta = rng.uniform(0.05, 0.999, size=lead + (length, dv))
     return q, k, v, alpha, beta
+
+
+def _per_token_attend(q, k, v, alpha, beta, s0=None):
+    """The recurrence composed from tape primitives one token at a time.
+
+    This is how ``gla_attend`` was built before it became one fused node;
+    it stays here as a second judge of the fused forward pass and its vjp.
+    """
+    q, k, v, alpha, beta = (T.as_tensor(t) for t in (q, k, v, alpha, beta))
+    state = T.as_tensor(s0) if s0 is not None else Tensor(np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1])))
+    k_cols = T.swap_last(k)
+    a_cols = T.swap_last(alpha)
+    reads = []
+    for t in range(q.shape[-2]):
+        gate = T.matmul(T.narrow(a_cols, -1, t, 1), T.narrow(beta, -2, t, 1))
+        update = T.matmul(T.narrow(k_cols, -1, t, 1), T.narrow(v, -2, t, 1))
+        state = T.add(T.mul(gate, state), update)
+        reads.append(T.matmul(T.narrow(q, -2, t, 1), state))
+    return T.concat(reads, axis=-2), state
+
+
+def _weighted_sum(reads, state, w_reads, w_state):
+    """A scalar that gives both outputs of ``gla_attend`` a random cotangent."""
+    return T.add(T.reduce_sum(T.mul(reads, Tensor(w_reads))), T.reduce_sum(T.mul(state, Tensor(w_state))))
 
 
 def test_single_token_read_is_plain_outer_product():
@@ -124,7 +150,7 @@ def test_multi_head_scan_equals_manual_split():
     params = init_gla_params(d, dk, dv, rng, heads=2, zero_residual=False)
     x = Tensor(rng.standard_normal((length, d)))
     q, k, v, alpha, beta, r_gate = gla_project(x, params)
-    out = gla_scan(q, k, v, alpha, beta, r_gate, None, params)
+    out = gla_apply(x, params)
 
     halves = []
     for h in range(2):
@@ -231,3 +257,104 @@ def test_scan_is_deterministic():
     a = gla_apply(x, params).data
     b = gla_apply(x, params).data
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("which", ["q", "k", "v", "alpha", "beta", "s0"])
+def test_fused_node_gradients_match_differences(which):
+    rng = np.random.default_rng(20)
+    lead, length, dk, dv = (2,), 6, 3, 4
+    names = ["q", "k", "v", "alpha", "beta", "s0"]
+    inputs = dict(zip(names, [*_random_instance(rng, length, dk, dv, lead), rng.standard_normal(lead + (dk, dv))]))
+    # A gate of exactly 0 forgets the state, one of exactly 1 keeps it; a vjp
+    # that divides by gates or takes their logs fails on the first.
+    inputs["alpha"][0, 2, 1] = 0.0
+    inputs["beta"][1, 4, 0] = 0.0
+    inputs["alpha"][1, 3, 2] = 1.0
+    inputs["beta"][0, 1, 3] = 1.0
+    w_reads = rng.standard_normal(lead + (length, dv))
+    w_state = rng.standard_normal(lead + (dk, dv))
+
+    def loss(t):
+        args = {name: Tensor(a) for name, a in inputs.items()}
+        args[which] = t
+        reads, state = gla_attend(*(args[name] for name in names))
+        return _weighted_sum(reads, state, w_reads, w_state)
+
+    report = T.check_gradient(loss, Tensor(inputs[which]))
+    assert report.failures == []
+    assert report.max_rel_err <= 1e-5, report
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+@pytest.mark.parametrize("with_s0", [False, True])
+def test_fused_node_agrees_with_per_token_composition(seed, with_s0):
+    rng = np.random.default_rng(seed)
+    lead = (int(rng.integers(1, 4)),)
+    length, dk, dv = int(rng.integers(1, 16)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    arrays = [*_random_instance(rng, length, dk, dv, lead), rng.standard_normal(lead + (dk, dv))]
+    if not with_s0:
+        arrays = arrays[:5]
+    w_reads = rng.standard_normal(lead + (length, dv))
+    w_state = rng.standard_normal(lead + (dk, dv))
+
+    results = []
+    for attend in (gla_attend, _per_token_attend):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            reads, state = attend(*inputs)
+            loss = _weighted_sum(reads, state, w_reads, w_state)
+        grads = backward(tape, loss)
+        results.append([reads.data, state.data] + [grads[t] for t in inputs])
+    for fused, composed in zip(*results):
+        np.testing.assert_allclose(fused, composed, rtol=1e-12)
+
+
+def test_gradient_through_a_carried_state_matches_the_full_scan():
+    # The first call's reads are unused: its vjp receives only the cotangent
+    # of the final state, which the second call hands back through ``s0``.
+    rng = np.random.default_rng(27)
+    arrays = _random_instance(rng, 8, 3, 4, lead=(2,))
+    w_tail = Tensor(rng.standard_normal((2, 5, 4)))
+    results = []
+    for split in (False, True):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            if split:
+                _, carried = gla_attend(*(T.narrow(t, -2, 0, 3) for t in inputs))
+                tail, _ = gla_attend(*(T.narrow(t, -2, 3, 5) for t in inputs), s0=carried)
+            else:
+                reads, _ = gla_attend(*inputs)
+                tail = T.narrow(reads, -2, 3, 5)
+            loss = T.reduce_sum(T.mul(tail, w_tail))
+        grads = backward(tape, loss)
+        results.append([grads[t] for t in inputs])
+    for full, split in zip(*results):
+        np.testing.assert_allclose(split, full, rtol=1e-12)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_mixer_records_one_attend_node_and_no_narrow(heads):
+    rng = np.random.default_rng(24)
+    params = init_gla_params(6, 4, 4, rng, heads=heads, zero_residual=False)
+    with Tape() as tape:
+        gla_apply(Tensor(rng.standard_normal((2, 5, 6))), params)
+    names = Counter(node.name for node in tape.nodes)
+    assert names["gla_attend"] == 1
+    assert names["narrow"] == 0
+
+
+def test_default_denoise_records_one_attend_node_per_block():
+    config = default_config()
+    params = init_denoiser(denoiser_config(config), np.random.default_rng(25), zero_residual=True)
+    side = config.data.height // config.model.factor
+    rng = np.random.default_rng(26)
+    x_t = rng.standard_normal((2, side, side, params.config.image_channels))
+    cond = rng.standard_normal((2, side, side, params.config.cond_channels))
+    e = rng.standard_normal((2, 1, config.model.d_e))
+    with Tape() as tape:
+        denoise(x_t, np.array([3, 700]), cond, e, params)
+    names = Counter(node.name for node in tape.nodes)
+    blocks = sum(len(level) for level in [*params.down_blocks, params.bottom_blocks, *params.up_blocks])
+    assert names["gla_attend"] == blocks == 3
+    # Both narrow nodes slice the head-skip coefficients in denoise itself.
+    assert names["narrow"] == 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lcgdiff import trainer as trainer_module
 from lcgdiff.config import default_config
 from lcgdiff.conditioning import MaskComposeConfig
 from lcgdiff.dataforge import BrushConfig, SceneConfig, build_pairs, gen_scene
@@ -18,6 +19,7 @@ from lcgdiff.trainer import (
     train,
 )
 from lcgdiff.config import schedule_config
+from lcgdiff.optim import adamw_step
 
 
 def tiny_config():
@@ -111,6 +113,32 @@ class TestResume:
         assert straight.checkpoint_path.read_bytes() == rest.checkpoint_path.read_bytes()
         # Log rows concatenate across the interruption.
         assert read_loss_log(straight.log_path) == read_loss_log(rest.log_path)
+
+    def test_resume_after_crash_between_checkpoints_logs_each_step_once(self, tmp_path, monkeypatch):
+        config = tiny_config()
+        config.train.steps = 6
+        config.train.checkpoint_every = 3
+        samples = make_samples(config)
+        straight = train(config, samples, tmp_path / "full")
+
+        calls = [0]
+
+        def crash_on_fifth(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == 5:
+                raise RuntimeError("simulated crash")
+            return adamw_step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "adamw_step", crash_on_fifth)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            train(config, samples, tmp_path / "split")
+        monkeypatch.undo()
+        # Step 3 was logged after the step-3 checkpoint, and the resumed run replays it.
+        assert [r[0] for r in read_loss_log(tmp_path / "split" / "loss.log")] == [0, 1, 2, 3]
+        rest = train(config, samples, tmp_path / "split", resume=True)
+        assert [r[0] for r in read_loss_log(rest.log_path)] == [0, 1, 2, 3, 4, 5]
+        assert read_loss_log(rest.log_path) == read_loss_log(straight.log_path)
+        assert rest.log_path.read_text().splitlines()[0].startswith("# [model]")
 
     def test_resume_without_checkpoint(self, tmp_path):
         config = tiny_config()
