@@ -52,7 +52,7 @@ from .dataforge import (
 )
 from .gla import gla_attend, gla_oracle
 from .imageio import ImageIOError, read_mask, read_ppm, write_mask, write_ppm
-from .tensor import Tensor, add, check_gradient, mean_square, mul, reduce_sum
+from .tensor import Tensor, add, check_gradient, mean_square, mul, reduce_sum, sigmoid, swish
 from .trainer import (
     TAG_INIT,
     TAG_SAMPLE,
@@ -299,10 +299,24 @@ def _suite_grad(seed: int) -> tuple[bool, str]:
             return add(reduce_sum(mul(reads, w_reads)), reduce_sum(mul(state, w_state)))
 
         reports.append(check_gradient(attend_loss, Tensor(inputs[i]), max_probes=8, rng=np.random.default_rng(0)))
+
+    # sigmoid and swish on both signs, an exact 0 and |x| > 30, where one
+    # exp(-|x|) serves both sides of the branch-free form.
+    x_act = rng.standard_normal((3, 4)) * 3.0
+    x_act.flat[:4] = (0.0, -31.0, 36.5, -40.0)
+    w_act = Tensor(rng.standard_normal((3, 4)))
+    for act in (sigmoid, swish):
+        reports.append(check_gradient(lambda p, act=act: reduce_sum(mul(act(p), w_act)), Tensor(x_act)))
     ok = all(r.ok(rel_tol=1e-4, abs_tol=1e-6) for r in reports)
-    worst = max(r.max_rel_err for r in reports)
+    # Gradients near 1e-14 (sigmoid at |x| > 30) sit below difference noise,
+    # so they pass on the absolute bound; print both errors.
+    worst_rel = max(r.max_rel_err for r in reports)
+    worst_abs = max(r.max_abs_err for r in reports)
     probed = sum(r.probed for r in reports)
-    return ok, f"max rel err {worst:.3e} on {probed} probed coordinates (interaction block and gla_attend)"
+    return ok, (
+        f"max rel err {worst_rel:.3e}, max abs err {worst_abs:.3e} on {probed} probed coordinates"
+        " (interaction block, gla_attend, sigmoid, swish)"
+    )
 
 
 def _suite_mask(seed: int) -> tuple[bool, str]:

@@ -7,6 +7,11 @@ an active ``Tape`` records each primitive in execution order (which is a
 topological order by construction), and a single reverse sweep over that
 record yields gradients for every leaf.
 
+Operands that break a primitive's shape contract raise ``ShapeError`` naming
+the primitive and the shapes. Broadcasting is checked by numpy itself: ``add``,
+``sub``, ``mul`` and ``matmul`` compute their result directly and re-raise
+numpy's ``ValueError`` as ``ShapeError``.
+
 Gradient checking is a separate route on purpose: ``check_gradient`` probes a
 function with central finite differences and never consults the tape's vjp
 rules, so the two implementations can vouch for each other.
@@ -253,17 +258,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(g.reshape(shape))
 
 
-def _check_broadcast(a: np.ndarray, b: np.ndarray, name: str) -> None:
+def _broadcast_op(op: np.ufunc, a: Tensor, b: Tensor, name: str) -> np.ndarray:
+    """``op(a, b)``, with numpy's own broadcast ``ValueError`` re-raised as ``ShapeError``."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return op(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"{name}: shapes {a.shape} and {b.shape} do not broadcast") from None
+        raise ShapeError(f"{name}: shapes {a.data.shape} and {b.data.shape} do not broadcast") from None
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a.data, b.data, "add")
-    out = Tensor(a.data + b.data)
+    out = Tensor(_broadcast_op(np.add, a, b, "add"))
 
     def vjp(g):
         ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
@@ -275,8 +280,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a.data, b.data, "sub")
-    out = Tensor(a.data - b.data)
+    out = Tensor(_broadcast_op(np.subtract, a, b, "sub"))
 
     def vjp(g):
         ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
@@ -288,8 +292,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a.data, b.data, "mul")
-    out = Tensor(a.data * b.data)
+    out = Tensor(_broadcast_op(np.multiply, a, b, "mul"))
 
     def vjp(g):
         ga = _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
@@ -335,10 +338,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: operands must be at least 2-d, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions disagree for {a.data.shape} @ {b.data.shape}")
-    _check_broadcast(a.data[..., :1, :1].reshape(a.data.shape[:-2] or (1,)),
-                     b.data[..., :1, :1].reshape(b.data.shape[:-2] or (1,)),
-                     "matmul")
-    out = Tensor(a.data @ b.data)
+    out = Tensor(_broadcast_op(np.matmul, a, b, "matmul"))
 
     def vjp(g):
         ga = _unbroadcast(g @ _swap_axes(b.data), a.data.shape) if a.requires_grad else None
@@ -482,12 +482,18 @@ def stack(tensors: Sequence, axis: int = 0) -> Tensor:
 
 
 def _sigmoid_stable(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    """``1 / (1 + exp(-v))`` for ``v >= 0`` and ``exp(v) / (1 + exp(v))`` below.
+
+    One ``exp(-|v|)`` serves both sides, so no exponent overflows and no
+    boolean gather runs. ``minimum(v, -v)`` rather than ``-abs(v)`` keeps the
+    sign bit of a NaN input, so the result is bitwise that of the per-side
+    formulas evaluated separately.
+    """
+    ev = np.exp(np.minimum(v, -v))
+    num = np.where(v >= 0, 1.0, ev)
+    ev += 1.0
+    num /= ev
+    return num
 
 
 def sigmoid(x) -> Tensor:

@@ -175,6 +175,15 @@ class _Lock:
         return False
 
 
+def _check_finite(step: int, loss: float, named: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
+    """Stop before a non-finite loss or gradient reaches the weights and the next checkpoint."""
+    bad = next((name for name in named if name in grads and not np.isfinite(grads[name]).all()), None)
+    if bad is None and np.isfinite(loss):
+        return
+    what = "loss" if bad is None else f"gradient of {bad}"
+    raise TrainerError(f"step {step}: {what} is not finite (loss {loss!r}); stopped before the update")
+
+
 def train(
     config: Config,
     samples: list[ImageMaskSample],
@@ -288,6 +297,7 @@ def train(
                             else:
                                 grad_acc[name] = weight * g
 
+                    _check_finite(step, loss_value, named, grad_acc)
                     adamw_step(named, grad_acc, opt_state, opt_config)
 
                     if first_loss is None:

@@ -51,6 +51,47 @@ def test_sigmoid_and_swish_at_zero():
     assert T.swish(T.Tensor(np.zeros(3))).data.tolist() == [0.0, 0.0, 0.0]
 
 
+def _reference_sigmoid(v: np.ndarray) -> np.ndarray:
+    """The per-side form with boolean gathers that the library once used."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def _sigmoid_probe_inputs() -> list[np.ndarray]:
+    edges = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0]
+    edges += [np.inf, -np.inf, np.nan, -np.nan]
+    rng = np.random.default_rng(29)
+    arrays = [np.array(edges), np.array(3.5), np.array(-3.5)]
+    for shape in [(64, 16), (64, 256), (8, 64, 256)]:
+        arrays.append(rng.standard_normal(shape) * rng.choice([1.0, 10.0, 60.0], size=shape))
+    return arrays
+
+
+@pytest.mark.parametrize("case", range(len(_sigmoid_probe_inputs())))
+def test_sigmoid_and_swish_bitwise_match_reference(case):
+    x = _sigmoid_probe_inputs()[case]
+    c = np.random.default_rng(case).standard_normal(x.shape)
+    with np.errstate(all="ignore"):
+        ref = _reference_sigmoid(x)
+        expected = {
+            T.sigmoid: (ref, c * ref * (1.0 - ref)),
+            T.swish: (x * ref, c * (ref + x * ref * (1.0 - ref))),
+        }
+        for prim, (want_out, want_grad) in expected.items():
+            leaf = T.Tensor(x, requires_grad=True)
+            with T.Tape() as tape:
+                out = prim(leaf)
+                loss = T.reduce_sum(T.mul(out, T.Tensor(c)))
+            grad = T.backward(tape, loss)[leaf]
+            assert out.data.tobytes() == want_out.tobytes(), prim.__name__
+            assert grad.tobytes() == want_grad.tobytes(), prim.__name__
+            assert np.isnan(out.data[np.isnan(x)]).all(), prim.__name__
+
+
 def test_layernorm_constant_vector_gives_zeros():
     out = T.layernorm(T.Tensor(np.full((4, 8), 3.25)))
     np.testing.assert_array_equal(out.data, np.zeros((4, 8)))
@@ -126,6 +167,22 @@ def test_shape_mismatch_names_primitive_and_shapes():
     with pytest.raises(T.ShapeError) as err2:
         T.add(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4,))))
     assert "add" in str(err2.value)
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul"])
+def test_elementwise_broadcast_mismatch_raises_shape_error(name):
+    with pytest.raises(T.ShapeError) as err:
+        getattr(T, name)(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4,))))
+    msg = str(err.value)
+    assert name in msg and "(2, 3)" in msg and "(4,)" in msg
+
+
+def test_batched_matmul_lead_axis_mismatch_raises_shape_error():
+    with pytest.raises(T.ShapeError) as err:
+        T.matmul(T.Tensor(np.ones((2, 3, 4))), T.Tensor(np.ones((5, 4, 2))))
+    msg = str(err.value)
+    # Both operands' lead axes must be named.
+    assert "matmul" in msg and "(2," in msg and "(5," in msg
 
 
 def test_ops_outside_tape_do_not_track():

@@ -20,6 +20,7 @@ from lcgdiff.trainer import (
 )
 from lcgdiff.config import schedule_config
 from lcgdiff.optim import adamw_step
+from lcgdiff.tensor import Tensor, mul
 
 
 def tiny_config():
@@ -99,6 +100,31 @@ class TestTraining:
     def test_rejects_empty_samples(self, tmp_path):
         with pytest.raises(TrainerError, match="no training samples"):
             train(tiny_config(), [], tmp_path / "run")
+
+    def test_non_finite_loss_stops_before_checkpoint(self, tmp_path, monkeypatch):
+        config = tiny_config()
+        config.train.steps = 6
+        config.train.checkpoint_every = 3
+        samples = make_samples(config)
+        calls = [0]
+        real_loss = trainer_module.loss_given_noise
+
+        def nan_on_step_four(*args, **kwargs):
+            calls[0] += 1
+            loss = real_loss(*args, **kwargs)
+            # Two chunks per step: call 9 is step 4's first chunk.
+            return mul(loss, Tensor(np.nan)) if calls[0] == 9 else loss
+
+        monkeypatch.setattr(trainer_module, "loss_given_noise", nan_on_step_four)
+        with pytest.raises(TrainerError) as err:
+            train(config, samples, tmp_path / "run")
+        params, table = build_model(config, step_rng(config.train.seed, trainer_module.TAG_INIT, 0))
+        first = next(iter({**params.named_params(), **table.named_params()}))
+        assert str(err.value).startswith(f"step 4: gradient of {first} is not finite")
+        run = tmp_path / "run"
+        assert (run / "ckpt-latest.lcgc").read_bytes() == (run / "ckpt-000003.lcgc").read_bytes()
+        assert not (run / "ckpt-000006.lcgc").exists()
+        assert [r[0] for r in read_loss_log(run / "loss.log")] == [0, 1, 2, 3]
 
 
 class TestResume:
