@@ -51,18 +51,18 @@ def main() -> int:
     )
 
     scales = [float(s) for s in args.scales.split(",")]
+    masked = np.stack([rec.image * (1 - rec.mask[..., None]).astype(rec.image.dtype) for rec in heldout])
+    masks = np.stack([rec.mask for rec in heldout])
+    categories = [rec.category for rec in heldout]
     print(f"checkpoint step {step}, {args.count} held-out samples, {args.steps} sampler steps")
     print("scale\tmasked_l1")
     for scale in scales:
-        total = 0.0
-        for k, rec in enumerate(heldout):
-            masked = rec.image * (1 - rec.mask[..., None]).astype(rec.image.dtype)
-            filled = sample(
-                params, schedule, table, masked, rec.mask, rec.category,
-                step_rng(args.seed, TAG_SAMPLE, k),
-                steps=args.steps, scale=scale, guidance=args.guidance,
-            )
-            total += masked_l1(rec.image, filled, rec.mask)
+        filled = sample(
+            params, schedule, table, masked, masks, categories,
+            [step_rng(args.seed, TAG_SAMPLE, k) for k in range(len(heldout))],
+            steps=args.steps, scale=scale, guidance=args.guidance,
+        )
+        total = sum(masked_l1(rec.image, out, rec.mask) for rec, out in zip(heldout, filled))
         print(f"{scale:g}\t{total / len(heldout):.4f}")
     return 0
 

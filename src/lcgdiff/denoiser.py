@@ -260,6 +260,10 @@ def denoise(x_t, t, cond, e, params: DenoiserParams) -> Tensor:
     ``cond``: mask plane and masked-image latent, channel count c_img + 1.
     ``e``: conditioning embedding tokens, (m, d_e) shared or (B, m, d_e).
     Returns the predicted noise with the shape of ``x_t``.
+
+    A scalar ``t`` is embedded once, as one row broadcast over the batch.
+    Every other product runs one batch row at a time, so each row of a
+    batched call is bitwise equal to the batch-1 call on that row.
     """
     config = params.config
     x_t = as_tensor(x_t)
@@ -286,12 +290,14 @@ def denoise(x_t, t, cond, e, params: DenoiserParams) -> Tensor:
     if h % fold != 0 or w % fold != 0:
         raise ShapeError(f"denoise: grid {h}x{w} not divisible by {fold} across {config.levels} levels")
 
+    # The time-MLP and skip GEMMs are the only products whose row count would
+    # be the batch, and BLAS picks its kernel by row count. A scalar t runs
+    # them on one row, so every batch row keeps the bits of a batch-1 call.
     temb = timestep_embedding(t, config.temb_dim)
-    if temb.ndim == 1:
-        temb = np.broadcast_to(temb, (b, config.temb_dim))
-    temb_feats = as_tensor(np.ascontiguousarray(temb))
+    rows = 1 if temb.ndim == 1 else b
+    temb_feats = as_tensor(temb.reshape(-1, config.temb_dim))
     temb_t = add(matmul(swish(add(matmul(temb_feats, params.time_w1), params.time_b1)), params.time_w2), params.time_b2)
-    temb_t = reshape(temb_t, (b, 1, 1, config.d))
+    temb_t = reshape(temb_t, (rows, 1, 1, config.d))
 
     pos = matmul(as_tensor(position_embedding(h, w, config.temb_dim)), params.pos_w)
     tokens = matmul(concat([x_t, cond], axis=-1), params.in_proj)
@@ -319,8 +325,8 @@ def denoise(x_t, t, cond, e, params: DenoiserParams) -> Tensor:
     # so hand the head x_t and the masked-image latent with learned per-timestep
     # scalars instead of making the block stack rediscover that arithmetic.
     coef = matmul(temb_feats, params.skip_w)
-    a_t = reshape(narrow(coef, 1, 0, 1), (b, 1, 1, 1))
-    b_t = reshape(narrow(coef, 1, 1, 1), (b, 1, 1, 1))
+    a_t = reshape(narrow(coef, 1, 0, 1), (rows, 1, 1, 1))
+    b_t = reshape(narrow(coef, 1, 1, 1), (rows, 1, 1, 1))
     out = add(out, add(mul(a_t, x_t), mul(b_t, narrow(cond, -1, 1, config.image_channels))))
     if not batched:
         out = reshape(out, out.shape[1:])

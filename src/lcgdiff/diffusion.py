@@ -8,6 +8,7 @@ bit-exact reshaping layer.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,16 +127,28 @@ def negative_category(category: Category, mode: str) -> Category:
 
 
 def cfg_predict(x_t, t, cond, e_cond, e_neg, params: DenoiserParams, scale: float) -> np.ndarray:
-    """Guided noise estimate eps_neg + scale * (eps_cond - eps_neg).
+    """Guided noise estimate eps_neg + scale * (eps_cond - eps_neg) at a scalar ``t``.
 
-    At scale 1 the conditional prediction is returned as computed, with no
-    arithmetic detour through the negative branch.
+    ``x_t`` and ``cond`` are one item or N stacked items; ``e_cond`` and
+    ``e_neg`` are shared (m, d_e) tokens or one (N, m, d_e) set per item.
+    Both branches run as one ``denoise`` call, conditional rows first, which
+    gives the same bits as two separate calls (see ``denoise``). At scale 1
+    the conditional prediction is returned as computed, with no arithmetic
+    detour through the negative branch.
     """
-    eps_c = denoise(x_t, t, cond, e_cond, params).numpy()
     if scale == 1.0:
-        return eps_c
-    eps_n = denoise(x_t, t, cond, e_neg, params).numpy()
-    return eps_n + scale * (eps_c - eps_n)
+        return denoise(x_t, t, cond, e_cond, params).numpy()
+    x_t, cond = np.asarray(x_t), np.asarray(cond)
+    single = x_t.ndim == 3
+    if single:
+        x_t, cond = x_t[None], cond[None]
+    n = x_t.shape[0]
+    e_shape = (n,) + np.shape(e_cond)[-2:]
+    e = np.concatenate([np.broadcast_to(e_cond, e_shape), np.broadcast_to(e_neg, e_shape)])
+    eps = denoise(np.concatenate([x_t, x_t]), t, np.concatenate([cond, cond]), e, params).numpy()
+    eps_c, eps_n = eps[:n], eps[n:]
+    guided = eps_n + scale * (eps_c - eps_n)
+    return guided[0] if single else guided
 
 
 def sample_timesteps(timesteps: int, steps: int) -> np.ndarray:
@@ -152,8 +165,8 @@ def sample(
     table: LcgEmbeddingTable,
     masked_image: np.ndarray,
     mask: np.ndarray,
-    category: Category,
-    rng: np.random.Generator,
+    category: Category | Sequence[Category],
+    rng: np.random.Generator | Sequence[np.random.Generator],
     steps: int = 50,
     scale: float = 2.0,
     guidance: str = "null",
@@ -165,14 +178,35 @@ def sample(
     image keeps unmasked pixels bit-identical and replaces masked ones with
     the decoded sample. With ``latent_composite`` the known region is also
     re-imposed at every step in latent space.
-    """
-    factor = params.config.factor
-    z_known, cond = build_conditioning(masked_image, mask, factor)
-    mask_latent = cond[..., :1]
-    e_cond = embed(category, table).numpy()
-    e_neg = embed(negative_category(category, guidance), table).numpy()
 
-    x = rng.standard_normal(z_known.shape)
+    One item is an (H, W, 3) image, an (H, W) mask, a ``Category`` and a
+    generator. N items are an (N, H, W, 3) stack, an (N, H, W) stack, a
+    sequence of N categories and a sequence of N generators; they return
+    (N, H, W, 3). Item k draws its initial, per-step and composite noise
+    from its own generator in the single-item order, and every step makes
+    one ``denoise`` call for all items, so each item's bits do not depend
+    on the items sampled beside it.
+    """
+    single = np.ndim(masked_image) == 3
+    if single:
+        masked_image, mask, category, rng = [masked_image], [mask], [category], [rng]
+    if not len(masked_image) == len(mask) == len(category) == len(rng):
+        raise ValueError(
+            f"sample: {len(masked_image)} images, {len(mask)} masks, {len(category)} categories "
+            f"and {len(rng)} generators"
+        )
+    factor = params.config.factor
+    built = [build_conditioning(image, m, factor) for image, m in zip(masked_image, mask)]
+    z_known = np.stack([z for z, _ in built])
+    cond = np.stack([c for _, c in built])
+    mask_latent = cond[..., :1]
+    e_cond = np.stack([embed(c, table).numpy() for c in category])
+    e_neg = np.stack([embed(negative_category(c, guidance), table).numpy() for c in category])
+
+    def noise() -> np.ndarray:
+        return np.stack([g.standard_normal(z_known.shape[1:]) for g in rng])
+
+    x = noise()
     t_seq = sample_timesteps(schedule.timesteps, steps)
     for i, t in enumerate(t_seq):
         t = int(t)
@@ -187,14 +221,17 @@ def sample(
         abar_s = schedule.alpha_bars[t_next]
         var = (1.0 - abar_s) / (1.0 - abar_t) * (1.0 - abar_t / abar_s)
         mean = np.sqrt(abar_s) * x0_hat + np.sqrt(max(1.0 - abar_s - var, 0.0)) * eps
-        x = mean + np.sqrt(var) * rng.standard_normal(x.shape)
+        x = mean + np.sqrt(var) * noise()
         if latent_composite:
             # Re-impose the known region at the new noise level.
-            known_t = q_sample(z_known, t_next, rng.standard_normal(x.shape), schedule)
+            known_t = q_sample(z_known, t_next, noise(), schedule)
             x = mask_latent * x + (1.0 - mask_latent) * known_t
 
-    generated = decode_output(unnormalize_latent(x), factor)
-    return composite(masked_image, generated, mask)
+    out = np.stack([
+        composite(image, decode_output(unnormalize_latent(z), factor), m)
+        for image, z, m in zip(masked_image, x, mask)
+    ])
+    return out[0] if single else out
 
 
 def masked_l1(original: np.ndarray, generated: np.ndarray, mask: np.ndarray) -> float:

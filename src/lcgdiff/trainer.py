@@ -349,39 +349,40 @@ def evaluate_samples(
     steps: int | None = None,
     seed: int | None = None,
 ) -> list[EvalSample]:
-    """Infill each held-out sample and score the masked region."""
+    """Infill the first ``count`` held-out samples as one batch and score each masked region."""
     ev = config.eval
     count = min(ev.count if count is None else count, len(heldout))
     if count < 1:
         raise TrainerError("no held-out samples to evaluate")
     steps = ev.steps if steps is None else steps
     seed = ev.seed if seed is None else seed
-    scored: list[EvalSample] = []
-    for k in range(count):
-        rec = heldout[k]
-        image = np.asarray(rec.image, dtype=np.float64)
-        masked = image * (1.0 - np.asarray(rec.mask, dtype=np.float64))[..., None]
-        out = sample(
-            params,
-            schedule,
-            table,
-            masked,
-            rec.mask,
-            rec.category,
-            step_rng(seed, TAG_EVAL, k),
-            steps=steps,
-            scale=config.sample.scale,
-            guidance=config.sample.guidance,
-            latent_composite=config.sample.latent_composite,
+    records = heldout[:count]
+    shapes = {np.shape(rec.image) for rec in records}
+    if len(shapes) > 1:
+        raise TrainerError(f"held-out samples are filled as one batch and must share a size, got {sorted(shapes)}")
+    images = np.stack([np.asarray(rec.image, dtype=np.float64) for rec in records])
+    masks = np.stack([np.asarray(rec.mask) for rec in records])
+    filled = sample(
+        params,
+        schedule,
+        table,
+        images * (1.0 - masks.astype(np.float64))[..., None],
+        masks,
+        [rec.category for rec in records],
+        [step_rng(seed, TAG_EVAL, k) for k in range(count)],
+        steps=steps,
+        scale=config.sample.scale,
+        guidance=config.sample.guidance,
+        latent_composite=config.sample.latent_composite,
+    )
+    return [
+        EvalSample(
+            coverage=float(np.asarray(mask, np.float64).mean()),
+            l1=masked_l1(image, out, mask),
+            psnr=masked_psnr(image, out, mask),
         )
-        scored.append(
-            EvalSample(
-                coverage=float(np.asarray(rec.mask, np.float64).mean()),
-                l1=masked_l1(image, out, rec.mask),
-                psnr=masked_psnr(image, out, rec.mask),
-            )
-        )
-    return scored
+        for image, mask, out in zip(images, masks, filled)
+    ]
 
 
 def evaluate_heldout(

@@ -84,6 +84,58 @@ class TestShapes:
             denoise(x[..., :-1], 0, cond, e, params)
 
 
+class TestBatchInvariance:
+    """Each row of a batched call at a scalar t has the bits of the batch-1 call.
+
+    Guided sampling and eval stack items and guidance branches into one
+    call, so their results must not depend on what shares the batch.
+    """
+
+    CASES = {
+        "default": (DenoiserConfig(), 1),
+        "heads2-three-levels-cross-all": (DenoiserConfig(heads=2, stages=(1, 1, 1), cross="all"), 1),
+        "three-tokens": (DenoiserConfig(), 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_match_batch_one_bitwise(self, case):
+        config, m = self.CASES[case]
+        rng = np.random.default_rng(13)
+        params = init_denoiser(config, rng, zero_residual=False)
+        params.skip_w.data[:] = rng.standard_normal(params.skip_w.data.shape)
+        batch = 4
+        x, cond, _ = _inputs(config, rng, batch=batch, h=8, w=8)
+        shared = rng.standard_normal((m, config.d_e))
+        per_row = rng.standard_normal((batch, m, config.d_e))
+        for t in (0, 500, 999):
+            for e in (shared, per_row):
+                out = denoise(x, t, cond, e, params).numpy()
+                for i in range(batch):
+                    one = denoise(x[i], t, cond[i], e if e.ndim == 2 else e[i], params).numpy()
+                    assert np.array_equal(out[i], one), (case, t, e.ndim, i)
+
+    def test_scalar_t_gradient_gathers_every_row(self):
+        # A scalar t feeds one time-MLP row to every batch row, so its
+        # cotangent must sum over all of them.
+        rng = np.random.default_rng(14)
+        params = init_denoiser(TINY, rng, zero_residual=False)
+        params.skip_w.data[:] = rng.standard_normal(params.skip_w.data.shape)
+        x, cond, e = _inputs(TINY, rng, batch=2)
+        for name in ("time_w1", "skip_w"):
+            original = getattr(params, name)
+
+            def f(p: Tensor) -> Tensor:
+                setattr(params, name, p)
+                try:
+                    return mean_square(denoise(x, 300, cond, e, params))
+                finally:
+                    setattr(params, name, original)
+
+            report = check_gradient(f, Tensor(original.data.copy(), requires_grad=True),
+                                    max_probes=6, rng=np.random.default_rng(2))
+            assert report.ok(rel_tol=1e-4, abs_tol=1e-6), (name, report)
+
+
 class TestGridFolding:
     def test_fold_then_unfold_is_identity(self):
         rng = np.random.default_rng(6)

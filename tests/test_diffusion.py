@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from lcgdiff.conditioning import Category, init_embedding_table
+from lcgdiff.conditioning import Category, MaskKind, init_embedding_table
+from lcgdiff.config import default_config, schedule_config
+from lcgdiff.dataforge import ImageMaskSample
 from lcgdiff.denoiser import DenoiserConfig, denoise, init_denoiser
 from lcgdiff.diffusion import (
     build_conditioning,
@@ -19,6 +21,7 @@ from lcgdiff.diffusion import (
     sample_timesteps,
     unnormalize_latent,
 )
+from lcgdiff.trainer import TAG_EVAL, TAG_INIT, build_model, evaluate_samples, step_rng
 
 CFG = DenoiserConfig(channels=3, factor=2, d=8, dk=4, dv=4, d_e=6, stages=(1, 1), temb_dim=8)
 
@@ -184,6 +187,23 @@ class TestGuidance:
             np.testing.assert_allclose(outs[s], eps_n + s * (eps_c - eps_n), rtol=0, atol=1e-12)
         np.testing.assert_allclose(outs[4.0] - outs[1.0], 3.0 * (outs[2.0] - outs[1.0]), atol=1e-10)
 
+    def test_one_call_matches_two_calls_bitwise(self):
+        params, _ = _model(3)
+        params.skip_w.data[:] = np.random.default_rng(4).standard_normal(params.skip_w.data.shape)
+        rng = np.random.default_rng(9)
+        x_t = rng.standard_normal((3, 4, 4, 12))
+        cond = rng.standard_normal((3, 4, 4, 13))
+        e_c = rng.standard_normal((3, 2, CFG.d_e))
+        e_n = rng.standard_normal((2, CFG.d_e))
+        s = 2.0
+        stacked = cfg_predict(x_t, 9, cond, e_c, e_n, params, scale=s)
+        for k in range(3):
+            eps_c = denoise(x_t[k], 9, cond[k], e_c[k], params).numpy()
+            eps_n = denoise(x_t[k], 9, cond[k], e_n, params).numpy()
+            want = eps_n + s * (eps_c - eps_n)
+            assert np.array_equal(cfg_predict(x_t[k], 9, cond[k], e_c[k], e_n, params, scale=s), want)
+            assert np.array_equal(stacked[k], want)
+
 
 class TestSampler:
     def test_timestep_grid(self):
@@ -242,6 +262,80 @@ class TestSampler:
         b = sample(params, sched, table, masked, mask, Category.FOREGROUND,
                    np.random.default_rng(3), steps=4, scale=3.0, guidance="opposite")
         assert np.abs(a - b).max() > 0
+
+
+class TestBatchedSampling:
+    """N stacked items give the bits of N single-item calls."""
+
+    CATS = (Category.FOREGROUND, Category.BACKGROUND, Category.NULL)
+
+    @staticmethod
+    def _items():
+        rng = np.random.default_rng(21)
+        images = rng.random((3, 8, 8, 3))
+        masks = np.zeros((3, 8, 8), np.uint8)
+        masks[0, 2:6, 2:6] = 1
+        masks[1, :4] = 1
+        masks[2, 1:7, 4:8] = 1
+        return images * (1 - masks[..., None]), masks
+
+    @staticmethod
+    def _live_model():
+        params, table = _model(12)
+        params.skip_w.data[:] = np.random.default_rng(13).standard_normal(params.skip_w.data.shape)
+        return params, table
+
+    @pytest.mark.parametrize("latent_composite", [False, True])
+    @pytest.mark.parametrize("guidance", ["null", "opposite"])
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_stack_matches_per_item_calls_bitwise(self, scale, guidance, latent_composite):
+        params, table = self._live_model()
+        sched = make_schedule(timesteps=40)
+        masked, masks = self._items()
+        kw = dict(steps=4, scale=scale, guidance=guidance, latent_composite=latent_composite)
+        stacked = sample(params, sched, table, masked, masks, list(self.CATS),
+                         [np.random.default_rng(30 + k) for k in range(3)], **kw)
+        assert stacked.shape == masked.shape
+        for k in range(3):
+            one = sample(params, sched, table, masked[k], masks[k], self.CATS[k],
+                         np.random.default_rng(30 + k), **kw)
+            assert np.array_equal(stacked[k], one), k
+
+    def test_length_mismatch_rejected(self):
+        params, table = self._live_model()
+        masked, masks = self._items()
+        with pytest.raises(ValueError, match="2 generators"):
+            sample(params, make_schedule(timesteps=40), table, masked, masks, list(self.CATS),
+                   [np.random.default_rng(k) for k in range(2)], steps=2)
+
+    def test_evaluate_samples_matches_per_item_loop(self):
+        config = default_config()
+        config.model.d, config.model.dk, config.model.dv = 8, 4, 4
+        config.model.d_e, config.model.e_dim, config.model.temb_dim = 6, 5, 8
+        config.schedule.timesteps = 40
+        config.eval.steps = 3
+        params, table = build_model(config, step_rng(0, TAG_INIT, 0))
+        rng = np.random.default_rng(22)
+        for tensor in {**params.named_params(), **table.named_params()}.values():
+            tensor.data[...] += 0.1 * rng.standard_normal(tensor.data.shape)
+        heldout = []
+        for k, category in enumerate(self.CATS):
+            mask = np.zeros((16, 16), np.uint8)
+            mask[k : k + 9, 2 * k : 2 * k + 7] = 1
+            heldout.append(ImageMaskSample(rng.random((16, 16, 3)).astype(np.float32), mask, category,
+                                           MaskKind.RANDOM_BRUSH, k))
+        schedule = schedule_config(config)
+        scored = evaluate_samples(config, params, table, schedule, heldout, count=3, seed=17)
+        assert len(scored) == 3
+        for k, (rec, got) in enumerate(zip(heldout, scored)):
+            image = np.asarray(rec.image, np.float64)
+            masked = image * (1.0 - rec.mask.astype(np.float64))[..., None]
+            out = sample(params, schedule, table, masked, rec.mask, rec.category, step_rng(17, TAG_EVAL, k),
+                         steps=3, scale=config.sample.scale, guidance=config.sample.guidance,
+                         latent_composite=config.sample.latent_composite)
+            assert got.l1 == masked_l1(image, out, rec.mask), k
+            assert got.psnr == masked_psnr(image, out, rec.mask), k
+            assert got.coverage == float(rec.mask.mean()), k
 
 
 class TestMaskedL1:

@@ -234,3 +234,13 @@ class TestEvaluate:
             assert s.l1 >= 0.0 and 0.0 <= s.psnr <= 99.0
         mean = evaluate_heldout(config, params, table, schedule, heldout, count=3)
         assert mean == float(np.mean([s.l1 for s in scored]))
+
+    def test_mixed_sizes_rejected(self, tmp_path):
+        config = tiny_config()
+        params, table = build_model(config, step_rng(0, 1, 0))
+        heldout = make_samples(config, n=1, seed=12)
+        big = make_samples(config, n=1, seed=13)[0]
+        big.image = np.zeros((32, 16, 3), np.float32)
+        big.mask = np.ones((32, 16), np.uint8)
+        with pytest.raises(TrainerError, match="share a size"):
+            evaluate_samples(config, params, table, schedule_config(config), heldout + [big], count=2)
