@@ -17,14 +17,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from lcgdiff.checkpoint import load_checkpoint, restore_tensors
-from lcgdiff.config import (
-    brush_config,
-    compose_config,
-    default_config,
-    scene_config,
-    schedule_config,
-)
-from lcgdiff.dataforge import build_pairs, gen_scene
+from lcgdiff.config import default_config, schedule_config
+from lcgdiff.dataforge import make_datasets
 from lcgdiff.diffusion import masked_l1, sample
 from lcgdiff.imageio import write_mask, write_ppm
 from lcgdiff.trainer import (
@@ -56,17 +50,7 @@ def main() -> int:
     config.eval.count = 8
     config.eval.steps = 25
 
-    rng = np.random.default_rng(config.data.seed)
-    scenes = [gen_scene(rng, scene_config(config)) for _ in range(config.data.scenes)]
-    pairs = build_pairs(
-        scenes, config.data.samples, rng, compose_config(config), brush_config(config),
-        config.data.fg_fraction, config.data.min_ratio, config.data.max_ratio,
-    )
-    held_scenes = [gen_scene(rng, scene_config(config)) for _ in range(6)]
-    heldout = build_pairs(
-        held_scenes, config.data.heldout, rng, compose_config(config), brush_config(config),
-        config.data.fg_fraction, config.data.min_ratio, config.data.max_ratio,
-    )
+    pairs, heldout = make_datasets(config.data, np.random.default_rng(config.data.seed))
     print(f"data: {len(pairs)} training pairs, {len(heldout)} held out")
 
     started = time.monotonic()

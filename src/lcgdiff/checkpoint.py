@@ -88,12 +88,18 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray],
         offset += n
         return piece
 
+    def take_text(n: int, what: str) -> str:
+        try:
+            return take(n, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{what} is not UTF-8: bad byte at offset {offset - n + exc.start}") from None
+
     def read_table(label: str) -> dict[str, np.ndarray]:
         (count,) = struct.unpack("<I", take(4, f"{label} count"))
         table: dict[str, np.ndarray] = {}
         for i in range(count):
             (name_len,) = struct.unpack("<H", take(2, f"{label} entry {i} name length"))
-            name = take(name_len, f"{label} entry {i} name").decode("utf-8")
+            name = take_text(name_len, f"{label} entry {i} name")
             (ndim,) = struct.unpack("<B", take(1, f"{label} {name} ndim"))
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"{label} {name} shape")) if ndim else ()
             size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
@@ -107,7 +113,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray],
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (blob_len,) = struct.unpack("<I", take(4, "config length"))
-    config_text = take(blob_len, "config blob").decode("utf-8")
+    config_text = take_text(blob_len, "config blob")
     (step,) = struct.unpack("<Q", take(8, "step"))
     params = read_table("params")
     opt = read_table("optimizer")

@@ -31,22 +31,18 @@ from .conditioning import (
 from .config import (
     Config,
     ConfigError,
-    brush_config,
-    compose_config,
     default_config,
-    denoiser_config,
     dump_config,
     load_config,
     parse_config,
-    scene_config,
     schedule_config,
 )
 from .dataforge import (
+    BrushConfig,
     GenError,
     ShardError,
-    build_pairs,
     gen_brush_mask,
-    gen_scene,
+    make_datasets,
     read_shard,
     write_shard,
 )
@@ -118,17 +114,7 @@ def _cmd_datagen(args) -> int:
     d = config.data
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = step_rng(d.seed, 0, 0)
-    scfg, bcfg, ccfg = scene_config(config), brush_config(config), compose_config(config)
-
-    scenes = [gen_scene(rng, scfg) for _ in range(d.scenes)]
-    train_samples = build_pairs(
-        scenes, d.samples, rng, ccfg, bcfg, d.fg_fraction, d.min_ratio, d.max_ratio
-    )
-    heldout_scenes = [gen_scene(rng, scfg) for _ in range(max(2, d.scenes // 4))]
-    heldout_samples = build_pairs(
-        heldout_scenes, d.heldout, rng, ccfg, bcfg, d.fg_fraction, d.min_ratio, d.max_ratio
-    )
+    train_samples, heldout_samples = make_datasets(d, step_rng(d.seed, 0, 0))
     problems = scan_samples(train_samples + heldout_samples, d.min_ratio, d.max_ratio)
     if problems:
         for p in problems[:10]:
@@ -150,7 +136,7 @@ def _cmd_maskgen(args) -> int:
     seed = config.data.seed if args.seed is None else args.seed
     height = args.height or config.data.height
     width = args.width or config.data.width
-    mask = gen_brush_mask(step_rng(seed, 0, 1), brush_config(config), height, width)
+    mask = gen_brush_mask(step_rng(seed, 0, 1), BrushConfig(), height, width)
     write_mask(args.out, mask)
     print(f"wrote {height}x{width} mask ({mask.mean():.3f} covered) to {args.out}")
     return 0

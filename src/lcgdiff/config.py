@@ -15,14 +15,11 @@ import io
 import typing
 from dataclasses import dataclass, field
 
-from .conditioning import MaskComposeConfig
-from .dataforge import BrushConfig, SceneConfig
 from .denoiser import DenoiserConfig
 from .diffusion import DiffusionSchedule, make_schedule
 
 __all__ = [
     "ConfigError",
-    "ModelConfig",
     "ScheduleConfig",
     "TrainConfig",
     "DataConfig",
@@ -33,34 +30,12 @@ __all__ = [
     "parse_config",
     "load_config",
     "dump_config",
-    "denoiser_config",
     "schedule_config",
-    "compose_config",
-    "scene_config",
-    "brush_config",
 ]
 
 
 class ConfigError(ValueError):
     """Malformed, unknown, or inconsistent configuration input."""
-
-
-@dataclass
-class ModelConfig:
-    channels: int = 3
-    factor: int = 4
-    d: int = 64
-    dk: int = 16
-    dv: int = 16
-    heads: int = 1
-    tau: float = 16.0
-    d_e: int = 64
-    e_dim: int = 20
-    tokens_per_category: int = 1
-    stages: tuple[int, ...] = (1, 1)
-    mlp_ratio: int = 4
-    cross: str = "alternate"
-    temb_dim: int = 32
 
 
 @dataclass
@@ -119,7 +94,7 @@ class EvalConfig:
 
 @dataclass
 class Config:
-    model: ModelConfig = field(default_factory=ModelConfig)
+    model: DenoiserConfig = field(default_factory=DenoiserConfig)
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     data: DataConfig = field(default_factory=DataConfig)
@@ -128,7 +103,7 @@ class Config:
 
 
 _SECTIONS: dict[str, type] = {
-    "model": ModelConfig,
+    "model": DenoiserConfig,
     "schedule": ScheduleConfig,
     "train": TrainConfig,
     "data": DataConfig,
@@ -261,37 +236,6 @@ def validate_config(config: Config) -> None:
         )
 
 
-def denoiser_config(config: Config) -> DenoiserConfig:
-    m = config.model
-    return DenoiserConfig(
-        channels=m.channels,
-        factor=m.factor,
-        d=m.d,
-        dk=m.dk,
-        dv=m.dv,
-        heads=m.heads,
-        tau=m.tau,
-        d_e=m.d_e,
-        stages=m.stages,
-        mlp_ratio=m.mlp_ratio,
-        cross=m.cross,
-        temb_dim=m.temb_dim,
-    )
-
-
 def schedule_config(config: Config) -> DiffusionSchedule:
     s = config.schedule
     return make_schedule(s.timesteps, s.beta_start, s.beta_end)
-
-
-def compose_config(config: Config) -> MaskComposeConfig:
-    return MaskComposeConfig(p_rand=config.data.p_rand, p_obj=config.data.p_obj)
-
-
-def scene_config(config: Config) -> SceneConfig:
-    d = config.data
-    return SceneConfig(height=d.height, width=d.width, channels=d.channels)
-
-
-def brush_config(config: Config) -> BrushConfig:
-    return BrushConfig()

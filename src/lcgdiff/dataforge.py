@@ -27,6 +27,7 @@ from .conditioning import (
     category_for_kind,
     compose_background_mask,
 )
+from .config import DataConfig
 
 __all__ = [
     "GenError",
@@ -43,6 +44,7 @@ __all__ = [
     "gen_scene",
     "gen_brush_mask",
     "build_pairs",
+    "make_datasets",
     "write_shard",
     "read_shard",
     "SHARD_MAGIC",
@@ -311,6 +313,25 @@ def build_pairs(
     return samples
 
 
+def make_datasets(
+    data: DataConfig, rng: np.random.Generator
+) -> tuple[list[ImageMaskSample], list[ImageMaskSample]]:
+    """Training and held-out pairs, both drawn in order from ``rng``.
+
+    Held-out pairs come from ``max(2, data.scenes // 4)`` further scenes, so
+    no held-out image is a training image.
+    """
+    scene = SceneConfig(height=data.height, width=data.width, channels=data.channels)
+    compose = MaskComposeConfig(p_rand=data.p_rand, p_obj=data.p_obj)
+
+    def pairs(scenes: int, count: int) -> list[ImageMaskSample]:
+        drawn = [gen_scene(rng, scene) for _ in range(scenes)]
+        return build_pairs(drawn, count, rng, compose, BrushConfig(), data.fg_fraction, data.min_ratio, data.max_ratio)
+
+    train = pairs(data.scenes, data.samples)
+    return train, pairs(max(2, data.scenes // 4), data.heldout)
+
+
 def _foreground_sample(scenes, scene_idx, sub, min_ratio, max_ratio, sample_seed) -> ImageMaskSample:
     for hop in range(len(scenes)):
         scene = scenes[(scene_idx + hop) % len(scenes)]
@@ -405,7 +426,10 @@ def read_shard(path) -> tuple[list[ImageMaskSample], str]:
     if version != SHARD_VERSION:
         raise ShardError(f"unsupported shard version {version} at offset 4")
     (blob_len,) = struct.unpack("<I", take(4, "config length"))
-    config_text = take(blob_len, "config blob").decode("utf-8")
+    try:
+        config_text = take(blob_len, "config blob").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ShardError(f"config blob is not UTF-8: bad byte at offset {offset - blob_len + exc.start}") from None
     samples: list[ImageMaskSample] = []
     for i in range(count):
         record_at = offset

@@ -64,18 +64,12 @@ class DenoiserConfig:
     heads: int = 1
     tau: float = 16.0
     d_e: int = 64  # width of conditioning embedding tokens
+    e_dim: int = 20  # width of the per-category table rows lifted to d_e
+    tokens_per_category: int = 1
     stages: tuple[int, ...] = (1, 1)  # blocks per level; last entry is the bottom
     mlp_ratio: int = 4
     cross: str = "alternate"  # alternate | all
     temb_dim: int = 32
-
-    def __post_init__(self) -> None:
-        if self.cross not in ("alternate", "all"):
-            raise ValueError(f"cross must be 'alternate' or 'all', got {self.cross!r}")
-        if self.temb_dim % 4 != 0:
-            raise ValueError(f"temb_dim must be a multiple of 4, got {self.temb_dim}")
-        if len(self.stages) < 1 or any(s < 1 for s in self.stages):
-            raise ValueError(f"stages must be a non-empty tuple of positive counts, got {self.stages}")
 
     @property
     def image_channels(self) -> int:

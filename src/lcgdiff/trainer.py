@@ -24,7 +24,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, restore_tensors, save_checkpoint
 from .conditioning import LcgEmbeddingTable, drop_condition, embed, init_embedding_table
-from .config import Config, denoiser_config, dump_config, schedule_config
+from .config import Config, dump_config, schedule_config
 from .dataforge import ImageMaskSample
 from .denoiser import DenoiserParams, init_denoiser
 from .diffusion import (
@@ -63,6 +63,8 @@ TAG_SAMPLE = 4
 
 LATEST_CHECKPOINT = "ckpt-latest.lcgc"
 
+EVAL_CHUNK = 16  # held-out items per sample call
+
 
 class TrainerError(RuntimeError):
     """Training could not proceed."""
@@ -82,7 +84,7 @@ def step_rng(seed: int, tag: int, step: int) -> np.random.Generator:
 
 
 def build_model(config: Config, rng: np.random.Generator) -> tuple[DenoiserParams, LcgEmbeddingTable]:
-    params = init_denoiser(denoiser_config(config), rng, zero_residual=True)
+    params = init_denoiser(config.model, rng, zero_residual=True)
     table = init_embedding_table(
         e_dim=config.model.e_dim,
         d_e=config.model.d_e,
@@ -349,7 +351,11 @@ def evaluate_samples(
     steps: int | None = None,
     seed: int | None = None,
 ) -> list[EvalSample]:
-    """Infill the first ``count`` held-out samples as one batch and score each masked region."""
+    """Infill the first ``count`` held-out samples and score each masked region.
+
+    Items are filled ``EVAL_CHUNK`` at a time, which bounds memory for any
+    ``count``; ``denoise`` is batch-invariant, so the chunking changes no bit.
+    """
     ev = config.eval
     count = min(ev.count if count is None else count, len(heldout))
     if count < 1:
@@ -359,21 +365,29 @@ def evaluate_samples(
     records = heldout[:count]
     shapes = {np.shape(rec.image) for rec in records}
     if len(shapes) > 1:
-        raise TrainerError(f"held-out samples are filled as one batch and must share a size, got {sorted(shapes)}")
+        raise TrainerError(f"held-out samples are filled in batches and must share a size, got {sorted(shapes)}")
     images = np.stack([np.asarray(rec.image, dtype=np.float64) for rec in records])
     masks = np.stack([np.asarray(rec.mask) for rec in records])
-    filled = sample(
-        params,
-        schedule,
-        table,
-        images * (1.0 - masks.astype(np.float64))[..., None],
-        masks,
-        [rec.category for rec in records],
-        [step_rng(seed, TAG_EVAL, k) for k in range(count)],
-        steps=steps,
-        scale=config.sample.scale,
-        guidance=config.sample.guidance,
-        latent_composite=config.sample.latent_composite,
+    masked = images * (1.0 - masks.astype(np.float64))[..., None]
+    categories = [rec.category for rec in records]
+    rngs = [step_rng(seed, TAG_EVAL, k) for k in range(count)]
+    filled = np.concatenate(
+        [
+            sample(
+                params,
+                schedule,
+                table,
+                masked[lo:hi],
+                masks[lo:hi],
+                categories[lo:hi],
+                rngs[lo:hi],
+                steps=steps,
+                scale=config.sample.scale,
+                guidance=config.sample.guidance,
+                latent_composite=config.sample.latent_composite,
+            )
+            for lo, hi in _chunk_ranges(count, EVAL_CHUNK)
+        ]
     )
     return [
         EvalSample(

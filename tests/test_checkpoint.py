@@ -117,3 +117,20 @@ class TestCorruption:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+    def test_non_utf8_config_blob_is_a_checkpoint_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[10 + 2] = 0xFF  # magic, version and blob length take 10 bytes
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="config blob is not UTF-8: bad byte at offset 12"):
+            load_checkpoint(path)
+
+    def test_non_utf8_tensor_name_is_a_checkpoint_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"a.bias")
+        raw[at + 1] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=f"params entry 0 name is not UTF-8: bad byte at offset {at + 1}"):
+            load_checkpoint(path)

@@ -255,6 +255,24 @@ class TestExitCodes:
         bad.write_text("[train]\nmomentum = 0.9\n")
         assert main(["datagen", "--config", str(bad), "--out", str(tmp_path / "d")]) == 2
 
+    def test_non_utf8_shard_config_exits_1(self, tmp_path, config_path, data_dir, capsys):
+        shard = data_dir / "train.lcgs"
+        raw = bytearray(shard.read_bytes())
+        raw[18] = 0xFF  # first byte of the config blob
+        shard.write_bytes(bytes(raw))
+        code = main(["train", "--config", config_path, "--data", str(shard), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "lcgdiff: error: config blob is not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_checkpoint_config_exits_1(self, config_path, data_dir, run_dir, capsys):
+        ckpt = run_dir / "ckpt-latest.lcgc"
+        raw = bytearray(ckpt.read_bytes())
+        raw[10] = 0xFF  # first byte of the config blob
+        ckpt.write_bytes(bytes(raw))
+        args = ["eval", "--config", config_path, "--checkpoint", str(ckpt), "--data", str(data_dir / "heldout.lcgs")]
+        assert main(args) == 1
+        assert "lcgdiff: error: config blob is not UTF-8" in capsys.readouterr().err
+
     def test_bad_log_level_is_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LCG_LOG", "loud")
         assert main(["check", "--suite", "gla"]) == 2

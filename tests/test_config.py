@@ -81,6 +81,28 @@ class TestDump:
         c = default_config()
         assert dump_config(c) == dump_config(parse_config(dump_config(c)))
 
+    def test_model_block_is_pinned(self):
+        # Every shard and checkpoint embeds this text, so field order is part of their bytes.
+        text = dump_config(default_config())
+        block = text[text.index("[model]\n") : text.index("\n\n[schedule]")]
+        assert block.split("\n") == [
+            "[model]",
+            "channels = 3",
+            "factor = 4",
+            "d = 64",
+            "dk = 16",
+            "dv = 16",
+            "heads = 1",
+            "tau = 16.0",
+            "d_e = 64",
+            "e_dim = 20",
+            "tokens_per_category = 1",
+            "stages = 1,1",
+            "mlp_ratio = 4",
+            "cross = alternate",
+            "temb_dim = 32",
+        ]
+
     def test_dump_contains_all_sections(self):
         text = dump_config(default_config())
         for section in ("model", "schedule", "train", "data", "sample", "eval"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lcgdiff.conditioning import Category, MaskComposeConfig, MaskKind, scan_samples
+from lcgdiff.config import DataConfig
 from lcgdiff.dataforge import (
     BrushConfig,
     GenError,
@@ -15,6 +16,7 @@ from lcgdiff.dataforge import (
     build_pairs,
     gen_brush_mask,
     gen_scene,
+    make_datasets,
     read_shard,
     write_shard,
 )
@@ -155,6 +157,15 @@ class TestBuildPairs:
             assert sa.seed == sb.seed and sa.mask_kind is sb.mask_kind
 
 
+class TestMakeDatasets:
+    def test_counts_and_disjoint_images(self):
+        data = DataConfig(height=16, width=16, scenes=8, samples=20, heldout=6)
+        train, heldout = make_datasets(data, np.random.default_rng(3))
+        assert len(train) == 20 and len(heldout) == 6
+        for held in heldout:
+            assert not any(np.array_equal(held.image, t.image) for t in train)
+
+
 class TestShards:
     def _samples(self, n: int = 12):
         scenes = _scenes(41)
@@ -229,4 +240,13 @@ class TestShards:
         write_shard(path, self._samples(2), "c")
         path.write_bytes(path.read_bytes() + b"\x00\x01")
         with pytest.raises(ShardError, match="trailing"):
+            read_shard(path)
+
+    def test_non_utf8_config_blob_is_a_shard_error(self, tmp_path):
+        path = tmp_path / "u.lcgs"
+        write_shard(path, self._samples(2), "config")
+        raw = bytearray(path.read_bytes())
+        raw[18 + 3] = 0xFF  # magic, header and blob length take 18 bytes
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ShardError, match="config blob is not UTF-8: bad byte at offset 21"):
             read_shard(path)

@@ -228,10 +228,6 @@ class TestCrossPattern:
         b = denoise(x, 10, cond, e + 0.5, params).numpy()
         assert np.abs(a - b).max() > 1e-8
 
-    def test_bad_cross_mode_rejected(self):
-        with pytest.raises(ValueError, match="alternate"):
-            DenoiserConfig(cross="sometimes")
-
 
 class TestReceptiveField:
     """Any grid position must be able to influence any other.

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcgdiff import tensor as T
-from lcgdiff.config import default_config, denoiser_config
+from lcgdiff.config import default_config
 from lcgdiff.denoiser import denoise, init_denoiser
 from lcgdiff.gla import (
     gla_apply,
@@ -345,7 +345,7 @@ def test_mixer_records_one_attend_node_and_no_narrow(heads):
 
 def test_default_denoise_records_one_attend_node_per_block():
     config = default_config()
-    params = init_denoiser(denoiser_config(config), np.random.default_rng(25), zero_residual=True)
+    params = init_denoiser(config.model, np.random.default_rng(25), zero_residual=True)
     side = config.data.height // config.model.factor
     rng = np.random.default_rng(26)
     x_t = rng.standard_normal((2, side, side, params.config.image_channels))

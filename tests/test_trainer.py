@@ -244,3 +244,22 @@ class TestEvaluate:
         big.mask = np.ones((32, 16), np.uint8)
         with pytest.raises(TrainerError, match="share a size"):
             evaluate_samples(config, params, table, schedule_config(config), heldout + [big], count=2)
+
+    def test_chunked_fill_matches_one_batch_bitwise(self, monkeypatch):
+        config = tiny_config()
+        params, table = build_model(config, step_rng(0, 1, 0))
+        rng = np.random.default_rng(14)
+        for t in {**params.named_params(), **table.named_params()}.values():
+            t.data[...] = rng.standard_normal(t.data.shape) * 0.1  # zero-initialised outputs would make every fill alike
+        heldout = make_samples(config, n=5, seed=15)
+        schedule = schedule_config(config)
+        filled = []
+        sample = trainer_module.sample
+        monkeypatch.setattr(trainer_module, "sample", lambda *a, **k: filled.append(sample(*a, **k)) or filled[-1])
+
+        whole = evaluate_samples(config, params, table, schedule, heldout, count=5)
+        monkeypatch.setattr(trainer_module, "EVAL_CHUNK", 2)
+        chunked = evaluate_samples(config, params, table, schedule, heldout, count=5)
+        assert [len(f) for f in filled] == [5, 2, 2, 1]
+        assert np.array_equal(filled[0], np.concatenate(filled[1:]))
+        assert chunked == whole
