@@ -134,8 +134,10 @@ def _cmd_datagen(args) -> int:
 def _cmd_maskgen(args) -> int:
     config = _load_config(args)
     seed = config.data.seed if args.seed is None else args.seed
-    height = args.height or config.data.height
-    width = args.width or config.data.width
+    height = config.data.height if args.height is None else args.height
+    width = config.data.width if args.width is None else args.width
+    if height < 1 or width < 1:
+        raise ConfigError(f"maskgen: mask size must be at least 1x1, got {height}x{width}")
     mask = gen_brush_mask(step_rng(seed, 0, 1), BrushConfig(), height, width)
     write_mask(args.out, mask)
     print(f"wrote {height}x{width} mask ({mask.mean():.3f} covered) to {args.out}")

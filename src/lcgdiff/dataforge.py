@@ -5,17 +5,14 @@ z-order. The visible part of each shape is one object mask; whatever no
 shape covers is the scene mask, so the object masks plus the scene mask
 partition the pixel grid exactly.
 
-Shards are little-endian binary files: magic ``LCGS``, a u16 format version,
-a u64 sample count, a length-prefixed UTF-8 blob carrying the resolved
-config that produced the data, then per-sample records (dims, category,
-mask kind, seed, float32 pixels, bit-packed mask) and a trailing CRC32 over
-everything before it.
+A shard is a ``container.py`` file, magic ``LCGS``, whose body holds a u64
+sample count, the length-prefixed UTF-8 config that made the data, and
+per-sample records (dims, category, mask kind, seed, pixels, bit-packed mask).
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +25,7 @@ from .conditioning import (
     compose_background_mask,
 )
 from .config import DataConfig
+from .container import Reader, pack_text, seal, write_atomic
 
 __all__ = [
     "GenError",
@@ -394,46 +392,19 @@ def _pack_sample(sample: ImageMaskSample) -> bytes:
 
 
 def write_shard(path, samples: list[ImageMaskSample], config_text: str = "") -> None:
-    blob = config_text.encode("utf-8")
-    out = bytearray()
-    out += SHARD_MAGIC
-    out += struct.pack("<HQ", SHARD_VERSION, len(samples))
-    out += struct.pack("<I", len(blob))
-    out += blob
-    for sample in samples:
-        out += _pack_sample(sample)
-    out += struct.pack("<I", zlib.crc32(bytes(out)))
-    with open(path, "wb") as fh:
-        fh.write(bytes(out))
+    records = (_pack_sample(sample) for sample in samples)
+    body = b"".join([struct.pack("<Q", len(samples)), pack_text(config_text), *records])
+    write_atomic(path, seal(SHARD_MAGIC, SHARD_VERSION, body))
 
 
 def read_shard(path) -> tuple[list[ImageMaskSample], str]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    offset = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(data):
-            raise ShardError(f"truncated shard: {what} needs {n} bytes at offset {offset}")
-        piece = data[offset : offset + n]
-        offset += n
-        return piece
-
-    if take(4, "magic") != SHARD_MAGIC:
-        raise ShardError("bad magic at offset 0: not a sample shard")
-    version, count = struct.unpack("<HQ", take(10, "header"))
-    if version != SHARD_VERSION:
-        raise ShardError(f"unsupported shard version {version} at offset 4")
-    (blob_len,) = struct.unpack("<I", take(4, "config length"))
-    try:
-        config_text = take(blob_len, "config blob").decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ShardError(f"config blob is not UTF-8: bad byte at offset {offset - blob_len + exc.start}") from None
+    reader = Reader(path, SHARD_MAGIC, SHARD_VERSION, "shard", ShardError)
+    (count,) = reader.unpack("<Q", "sample count")
+    config_text = reader.text("config blob")
     samples: list[ImageMaskSample] = []
     for i in range(count):
-        record_at = offset
-        h, w, c, cat_v, kind_v, seed = struct.unpack("<IIIBBQ", take(22, f"sample {i} header"))
+        record_at = reader.offset
+        h, w, c, cat_v, kind_v, seed = reader.unpack("<IIIBBQ", f"sample {i} header")
         if not (0 < h <= 65536 and 0 < w <= 65536 and 0 < c <= 64):
             raise ShardError(f"sample {i}: implausible dims {h}x{w}x{c} at offset {record_at}")
         try:
@@ -441,15 +412,10 @@ def read_shard(path) -> tuple[list[ImageMaskSample], str]:
             kind = MaskKind(kind_v)
         except ValueError:
             raise ShardError(f"sample {i}: unknown category/kind byte at offset {record_at}") from None
-        pixels = take(4 * h * w * c, f"sample {i} pixels")
+        pixels = reader.take(4 * h * w * c, f"sample {i} pixels")
         image = np.frombuffer(pixels, dtype="<f4").reshape(h, w, c).copy()
-        packed = take((h * w + 7) // 8, f"sample {i} mask")
+        packed = reader.take((h * w + 7) // 8, f"sample {i} mask")
         mask = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=h * w).reshape(h, w)
         samples.append(ImageMaskSample(image, mask.astype(np.uint8), category, kind, seed))
-    (stored_crc,) = struct.unpack("<I", take(4, "checksum"))
-    if offset != len(data):
-        raise ShardError(f"unexpected {len(data) - offset} trailing bytes at offset {offset}")
-    actual = zlib.crc32(data[:-4])
-    if actual != stored_crc:
-        raise ShardChecksumError(f"checksum mismatch: stored {stored_crc:#010x}, computed {actual:#010x}")
+    reader.finish(ShardChecksumError)
     return samples, config_text

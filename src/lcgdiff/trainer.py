@@ -25,6 +25,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, restore_tensors, save_checkpoint
 from .conditioning import LcgEmbeddingTable, drop_condition, embed, init_embedding_table
 from .config import Config, dump_config, schedule_config
+from .container import write_atomic
 from .dataforge import ImageMaskSample
 from .denoiser import DenoiserParams, init_denoiser
 from .diffusion import (
@@ -146,11 +147,8 @@ def _cut_loss_log(path: Path, step: int) -> None:
             lines = [line for line in fh if line.endswith("\n")]
     except FileNotFoundError:
         return
-    kept = [line for line in lines if line.startswith("#") or int(line.split("\t", 1)[0]) < step]
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(kept)
-    os.replace(tmp, path)
+    kept = "".join(line for line in lines if line.startswith("#") or int(line.split("\t", 1)[0]) < step)
+    write_atomic(path, kept.encode("utf-8"))
 
 
 class _Lock:
@@ -236,10 +234,8 @@ def train(
             log.info("resumed at step %d from %s", start_step, latest)
             _cut_loss_log(log_path, start_step)
         else:
-            with open(log_path, "w", encoding="utf-8") as fh:
-                for line in config_text.rstrip("\n").split("\n"):
-                    fh.write(f"# {line}\n" if line else "#\n")
-                fh.write("# step\tloss\twalltime_s\n")
+            header = "".join(f"# {line}\n" if line else "#\n" for line in config_text.rstrip("\n").split("\n"))
+            write_atomic(log_path, (header + "# step\tloss\twalltime_s\n").encode("utf-8"))
 
         z0_all, cond_all, cats_all = _encode_all(samples, config.model.factor)
         n = len(samples)

@@ -1,5 +1,9 @@
 """Checkpoint round trips, byte stability, and corruption detection."""
 
+import os
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -134,3 +138,44 @@ class TestCorruption:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match=f"params entry 0 name is not UTF-8: bad byte at offset {at + 1}"):
             load_checkpoint(path)
+
+
+def checkpoint_with_shape(shape) -> bytes:
+    """A sealed checkpoint whose one parameter declares ``shape`` and holds no data."""
+    body = b"LCGC" + struct.pack("<HI", 1, 0) + struct.pack("<QI", 0, 1)
+    body += struct.pack("<H", 1) + b"w" + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+    body += struct.pack("<I", 0)  # empty optimizer table
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestMalformedShape:
+    def test_wrapping_size_is_a_checkpoint_error(self, tmp_path):
+        # An int64 product of this shape wraps to 0 elements.
+        path = tmp_path / "wrap.lcgc"
+        path.write_bytes(checkpoint_with_shape((2**31, 2**31, 4)))
+        with pytest.raises(CheckpointError, match=r"params w data needs \d+ bytes at offset 38"):
+            load_checkpoint(path)
+
+    def test_empty_but_oversized_shape_is_a_checkpoint_error(self, tmp_path):
+        # Zero elements, so the data fits, but numpy cannot build the array.
+        path = tmp_path / "huge.lcgc"
+        path.write_bytes(checkpoint_with_shape((0, 2**32 - 1, 2**32 - 1)))
+        with pytest.raises(CheckpointError, match=r"params w shape \(0, 4294967295, 4294967295\) at offset 26"):
+            load_checkpoint(path)
+
+
+class TestAtomicSave:
+    def test_failed_replace_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        named, opt = _state(5)
+        path = tmp_path / "ckpt.lcgc"
+        save_checkpoint(path, named, opt, step=1, config_text="first")
+        first = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk gone"):
+            save_checkpoint(path, named, opt, step=2, config_text="second")
+        assert path.read_bytes() == first
+        assert os.listdir(tmp_path) == ["ckpt.lcgc"]

@@ -1,5 +1,8 @@
 """End-to-end command-line behavior and exit codes."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,13 @@ class TestMaskgen:
         out = tmp_path / "mask.pgm"
         assert main(["maskgen", "--out", str(out), "--height", "24", "--width", "40"]) == 0
         assert read_mask(out).shape == (24, 40)
+
+    @pytest.mark.parametrize("flag, value", [("--height", "0"), ("--width", "-4")])
+    def test_size_below_one_is_a_configuration_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "mask.pgm"
+        assert main(["maskgen", "--out", str(out), flag, value]) == 2
+        assert "lcgdiff: configuration error: maskgen: mask size must be at least 1x1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -272,6 +282,16 @@ class TestExitCodes:
         args = ["eval", "--config", config_path, "--checkpoint", str(ckpt), "--data", str(data_dir / "heldout.lcgs")]
         assert main(args) == 1
         assert "lcgdiff: error: config blob is not UTF-8" in capsys.readouterr().err
+
+    def test_malformed_checkpoint_shape_exits_1(self, tmp_path, config_path, data_dir, capsys):
+        # One parameter of shape (0, 2**32 - 1, 2**32 - 1): no data bytes, but no valid array either.
+        body = b"LCGC" + struct.pack("<HIQI", 1, 0, 0, 1) + struct.pack("<H", 1) + b"w"
+        body += struct.pack("<B3I", 3, 0, 2**32 - 1, 2**32 - 1) + struct.pack("<I", 0)
+        ckpt = tmp_path / "bad.lcgc"
+        ckpt.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        args = ["eval", "--config", config_path, "--checkpoint", str(ckpt), "--data", str(data_dir / "heldout.lcgs")]
+        assert main(args) == 1
+        assert "lcgdiff: error: params w shape (0, 4294967295, 4294967295) at offset 26" in capsys.readouterr().err
 
     def test_bad_log_level_is_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LCG_LOG", "loud")
