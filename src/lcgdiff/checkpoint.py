@@ -52,12 +52,15 @@ def _pack_table(entries: dict[str, np.ndarray]) -> bytearray:
 
 def save_checkpoint(
     path, named: dict[str, Tensor], opt_tensors: dict[str, np.ndarray], step: int, config_text: str
-) -> None:
+) -> bytes:
+    """Write the checkpoint to ``path`` atomically; returns the file's bytes."""
     body = bytearray(pack_text(config_text))
     body += struct.pack("<Q", step)
     body += _pack_table({k: v.data for k, v in named.items()})
     body += _pack_table(opt_tensors)
-    write_atomic(path, seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, body))
+    payload = seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, body)
+    write_atomic(path, payload)
+    return payload
 
 
 def _read_table(reader: Reader, label: str) -> dict[str, np.ndarray]:

@@ -48,7 +48,7 @@ from .dataforge import (
 )
 from .gla import gla_attend, gla_oracle
 from .imageio import ImageIOError, read_mask, read_ppm, write_mask, write_ppm
-from .tensor import Tensor, add, check_gradient, mean_square, mul, reduce_sum, sigmoid, swish
+from .tensor import ShapeError, Tensor, check_gradient, mean_square, mul, reduce_sum, sigmoid, swish
 from .trainer import (
     TAG_INIT,
     TAG_SAMPLE,
@@ -73,6 +73,7 @@ _RUNTIME_ERRORS = (
     ImageIOError,
     MaskError,
     CodecError,
+    ShapeError,
     FileNotFoundError,
     IsADirectoryError,
     PermissionError,
@@ -265,8 +266,8 @@ def _suite_grad(seed: int) -> tuple[bool, str]:
 
     reports = [check_gradient(f, Tensor(x, requires_grad=True), max_probes=12, rng=np.random.default_rng(0))]
 
-    # The fused gla_attend node's hand-written vjp, probed on each of its six
-    # inputs (q, k, v, alpha, beta, s0) with both outputs reaching the loss.
+    # The fused gla_attend node's hand-written vjp, probed on each of its five
+    # inputs (q, k, v, alpha, beta) with a loss on the reads.
     lead, length, dk, dv = (2,), 5, 3, 4
     inputs = [
         rng.standard_normal(lead + (length, dk)),
@@ -274,17 +275,14 @@ def _suite_grad(seed: int) -> tuple[bool, str]:
         rng.standard_normal(lead + (length, dv)),
         rng.uniform(0.1, 0.999, lead + (length, dk)),
         rng.uniform(0.1, 0.999, lead + (length, dv)),
-        rng.standard_normal(lead + (dk, dv)),
     ]
     w_reads = Tensor(rng.standard_normal(lead + (length, dv)))
-    w_state = Tensor(rng.standard_normal(lead + (dk, dv)))
     for i in range(len(inputs)):
 
         def attend_loss(p: Tensor, i: int = i) -> Tensor:
             args = [Tensor(a) for a in inputs]
             args[i] = p
-            reads, state = gla_attend(*args)
-            return add(reduce_sum(mul(reads, w_reads)), reduce_sum(mul(state, w_state)))
+            return reduce_sum(mul(gla_attend(*args)[0], w_reads))
 
         reports.append(check_gradient(attend_loss, Tensor(inputs[i]), max_probes=8, rng=np.random.default_rng(0)))
 
@@ -295,9 +293,9 @@ def _suite_grad(seed: int) -> tuple[bool, str]:
     w_act = Tensor(rng.standard_normal((3, 4)))
     for act in (sigmoid, swish):
         reports.append(check_gradient(lambda p, act=act: reduce_sum(mul(act(p), w_act)), Tensor(x_act)))
-    ok = all(r.ok(rel_tol=1e-4, abs_tol=1e-6) for r in reports)
+    ok = all(r.ok(rel_tol=1e-4) for r in reports)
     # Gradients near 1e-14 (sigmoid at |x| > 30) sit below difference noise,
-    # so they pass on the absolute bound; print both errors.
+    # so they pass on ok()'s absolute bound of 1e-8; print both errors.
     worst_rel = max(r.max_rel_err for r in reports)
     worst_abs = max(r.max_abs_err for r in reports)
     probed = sum(r.probed for r in reports)

@@ -192,6 +192,7 @@ def validate_config(config: Config) -> None:
         (m.factor >= 1, "model.factor must be >= 1"),
         (m.d >= 1 and m.dk >= 1 and m.dv >= 1, "model widths must be positive"),
         (m.heads >= 1, "model.heads must be >= 1"),
+        (m.heads < 1 or (m.dk % m.heads == 0 and m.dv % m.heads == 0), "model.heads must divide model.dk and model.dv"),
         (m.tau > 0, "model.tau must be positive"),
         (m.e_dim >= 1 and m.d_e >= 1, "model embedding widths must be positive"),
         (m.tokens_per_category >= 1, "model.tokens_per_category must be >= 1"),

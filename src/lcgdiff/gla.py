@@ -12,21 +12,22 @@ every entry lies in (0, 1) and ``tau`` tempers how fast memory fades. The
 block output re-gates the normalized read with a swish gate and projects
 back to model width: ``L_hat_t = (R_t (*) layernorm(O_t)) W_o``.
 
-``gla_attend`` runs the recurrence on numpy arrays and records the whole
-scan as one tape node that keeps the L+1 states. Its vjp is a reverse scan,
-built from products and sums only, so gates of exactly 0 stay exact. dS
-starts as the cotangent of the final state (zero when it has none), and for
-t = L-1 down to 0:
+``gla_attend`` runs the recurrence from a zero state on numpy arrays and
+records the whole scan as one tape node, with the reads O as its one output;
+the node keeps the L+1 states. The final state S_L is returned beside O as a
+constant: no gradient flows through it. The vjp is a reverse scan, built from
+products and sums only, so gates of exactly 0 stay exact. dS starts at zero,
+and for t = L-1 down to 0:
 
     dS += Q_t^T g_t                      (g_t: cotangent of O_t)
     dQ_t = g_t S_t^T,  dK_t = V_t dS^T,  dV_t = K_t dS
     dG = dS (*) S_{t-1},  dalpha_t = dG beta_t^T,  dbeta_t = alpha_t dG
     dS = dS (*) G_t
 
-and the ``s0`` cotangent is the final dS. Each product is formed with the
-same numpy call shapes the per-token tape composition used, so values and
-gradients are bitwise those of that composition. Multiple heads are a
-reshaped lead axis, so a mixer makes one call whatever ``heads`` is.
+Each product is formed with the same numpy call shapes the per-token tape
+composition used, so values and gradients are bitwise those of that
+composition. Multiple heads are a reshaped lead axis, so a mixer makes one
+call whatever ``heads`` is.
 
 ``gla_oracle`` recomputes O from the fully unrolled sum with explicit gate
 products. It shares no code with the recurrence; the two routes anchor each
@@ -177,29 +178,26 @@ def _validate_attend(q: Tensor, k: Tensor, v: Tensor, alpha: Tensor, beta: Tenso
         raise ShapeError(f"gla_attend: value widths disagree: V{v.shape} beta{beta.shape}")
 
 
-def gla_attend(q, k, v, alpha, beta, s0: Tensor | None = None) -> tuple[Tensor, Tensor]:
-    """Run the gated recurrence; returns the per-token reads O and the final state.
+def gla_attend(q, k, v, alpha, beta) -> tuple[Tensor, Tensor]:
+    """Run the gated recurrence from a zero state; returns the per-token reads O
+    and the final state.
 
-    The state starts at zero unless ``s0`` resumes an earlier scan. Leading
-    batch axes, shared by all inputs, are carried through untouched. The
-    whole scan is one tape node whose vjp is the reverse scan described in
-    the module docstring.
+    Leading batch axes, shared by all inputs, are carried through untouched.
+    The reads are one tape node whose vjp is the reverse scan described in the
+    module docstring; the final state is a constant tensor.
     """
     q, k, v, alpha, beta = (as_tensor(t) for t in (q, k, v, alpha, beta))
     _validate_attend(q, k, v, alpha, beta)
     lead, length = q.shape[:-2], q.shape[-2]
     state_shape = lead + (q.shape[-1], v.shape[-1])
-    start = as_tensor(s0) if s0 is not None else Tensor(np.zeros(state_shape))
-    if start.shape != state_shape:
-        raise ShapeError(f"gla_attend: state shape {start.shape} != {state_shape}")
     q_a, k_a, v_a, a_a, b_a = (t.data for t in (q, k, v, alpha, beta))
 
     # Gates and updates are outer products of one row each; states[..., t, :, :]
-    # is S_{t-1}, so states[..., 0, :, :] is the starting state.
+    # is S_{t-1}, so states[..., 0, :, :] is the zero starting state.
     gates = a_a[..., :, None] * b_a[..., None, :]
     updates = k_a[..., :, None] * v_a[..., None, :]
     states = np.empty(lead + (length + 1,) + state_shape[-2:])
-    states[..., 0, :, :] = start.data
+    states[..., 0, :, :] = 0.0
     for t in range(length):
         s = states[..., t + 1, :, :]
         np.multiply(gates[..., t, :, :], states[..., t, :, :], out=s)
@@ -207,10 +205,9 @@ def gla_attend(q, k, v, alpha, beta, s0: Tensor | None = None) -> tuple[Tensor, 
     reads = Tensor((q_a[..., :, None, :] @ states[..., 1:, :, :])[..., 0, :])
     final = Tensor(states[..., length, :, :].copy())
 
-    def vjp(cotangents):
-        g_reads, g_final = cotangents
-        g = np.zeros(reads.shape) if g_reads is None else np.ascontiguousarray(g_reads)
-        carry = np.zeros(state_shape) if g_final is None else g_final
+    def vjp(g):
+        g = np.ascontiguousarray(g)
+        carry = np.zeros(state_shape)
         # d_states[..., t, :, :] is the cotangent of S_t: the read q_t^T g_t
         # plus what flows back from S_{t+1} through its gate.
         reads_back = q_a[..., :, :, None] * g[..., :, None, :]
@@ -230,10 +227,9 @@ def gla_attend(q, k, v, alpha, beta, s0: Tensor | None = None) -> tuple[Tensor, 
             (k_a[..., :, None, :] @ d_states)[..., 0, :],
             (d_gates @ b_a[..., :, :, None])[..., 0],
             (a_a[..., :, None, :] @ d_gates)[..., 0, :],
-            carry,
         )
 
-    _record(reads, (q, k, v, alpha, beta, start), vjp, "gla_attend", extra=(final,))
+    _record(reads, (q, k, v, alpha, beta), vjp, "gla_attend")
     return reads, final
 
 

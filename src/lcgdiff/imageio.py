@@ -2,12 +2,15 @@
 
 Pixels cross the boundary as floats in [0, 1]; files store rounded 8-bit
 values, so write-read round trips are exact for images that came from
-files and quantize fresh ones once.
+files and quantize fresh ones once. Writes go through
+``container.write_atomic``, so a failed write leaves an earlier file whole.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .container import write_atomic
 
 __all__ = ["ImageIOError", "write_ppm", "read_ppm", "write_pgm", "read_pgm", "read_mask", "write_mask"]
 
@@ -16,33 +19,30 @@ class ImageIOError(RuntimeError):
     """Malformed image file or out-of-contract pixel payload."""
 
 
-def _to_u8(image: np.ndarray) -> np.ndarray:
-    arr = np.asarray(image, dtype=np.float64)
+def _write(path, arr: np.ndarray, magic: str) -> None:
+    """Header and rounded 8-bit pixels, written atomically."""
+    arr = np.asarray(arr, dtype=np.float64)
     if arr.size == 0:
         raise ImageIOError("empty image")
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise ImageIOError(f"pixels must lie in [0, 1], got [{arr.min()}, {arr.max()}]")
-    return np.round(arr * 255.0).astype(np.uint8)
+    h, w = arr.shape[:2]
+    pixels = np.round(arr * 255.0).astype(np.uint8)
+    write_atomic(path, f"{magic}\n{w} {h}\n255\n".encode("ascii") + pixels.tobytes())
 
 
 def write_ppm(path, image: np.ndarray) -> None:
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ImageIOError(f"PPM needs an (H, W, 3) image, got shape {arr.shape}")
-    h, w, _ = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(_to_u8(arr).tobytes())
+    _write(path, arr, "P6")
 
 
 def write_pgm(path, image: np.ndarray) -> None:
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise ImageIOError(f"PGM needs an (H, W) image, got shape {arr.shape}")
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(_to_u8(arr).tobytes())
+    _write(path, arr, "P5")
 
 
 def write_mask(path, mask: np.ndarray) -> None:

@@ -2,10 +2,12 @@
 
 The primitive set is deliberately small: the matrix, elementwise, activation,
 normalization, reduction, and data-movement operations the attention blocks
-and the diffusion denoiser are built from. Forward values are numpy arrays;
-an active ``Tape`` records each primitive in execution order (which is a
-topological order by construction), and a single reverse sweep over that
-record yields gradients for every leaf.
+and the diffusion denoiser are built from. They are plain functions of
+tensors; a ``Tensor`` itself only holds an array and a ``requires_grad`` flag.
+Forward values are numpy arrays; an active ``Tape`` records each primitive as
+one node with one output, in execution order (which is a topological order by
+construction), and a single reverse sweep over that record yields gradients
+for every leaf.
 
 Operands that break a primitive's shape contract raise ``ShapeError`` naming
 the primitive and the shapes. Broadcasting is checked by numpy itself: ``add``,
@@ -82,64 +84,12 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    # Arithmetic sugar; every dunder delegates to a recorded primitive.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor) or not np.isscalar(other):
-            raise TypeError("tensor division is only defined for scalar divisors")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_mean(self, axis, keepdims)
 
 
 def as_tensor(value) -> Tensor:
@@ -151,19 +101,16 @@ def as_tensor(value) -> Tensor:
 
 @dataclass(slots=True)
 class Node:
-    """One recorded primitive: its output, inputs, and a vjp closure.
+    """One recorded primitive: its single output, inputs, and a vjp closure.
 
     ``vjp`` maps the output cotangent to one cotangent per input (or None
-    for inputs that do not need one). A primitive with further outputs lists
-    them in ``extra``; its vjp then receives a tuple with one cotangent per
-    output, ``output`` first, and None for outputs that did not reach the loss.
+    for inputs that do not need one).
     """
 
     output: Tensor
     inputs: tuple[Tensor, ...]
     vjp: Callable[[np.ndarray], tuple]
     name: str
-    extra: tuple[Tensor, ...] = ()
 
 
 _tls = threading.local()
@@ -196,16 +143,12 @@ class Tape:
         assert popped is self, "tapes must unwind in LIFO order"
         return False
 
-    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
-        return backward(self, loss)
 
-
-def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp, name: str, extra: tuple[Tensor, ...] = ()) -> Tensor:
+def _record(out: Tensor, inputs: tuple[Tensor, ...], vjp, name: str) -> Tensor:
     stack = _tape_stack()
     if stack and any(t.requires_grad for t in inputs):
-        for t in (out, *extra):
-            t.requires_grad = True
-        stack[-1].nodes.append(Node(out, inputs, vjp, name, extra))
+        out.requires_grad = True
+        stack[-1].nodes.append(Node(out, inputs, vjp, name))
     return out
 
 
@@ -218,15 +161,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    produced = {id(t) for node in tape.nodes for t in (node.output, *node.extra)}
+    produced = {id(node.output) for node in tape.nodes}
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
         g = grads.pop(id(node.output), None)
-        if node.extra:
-            g = (g, *(grads.pop(id(t), None) for t in node.extra))
-            if all(part is None for part in g):
-                continue
-        elif g is None:
+        if g is None:
             continue
         partials = node.vjp(g)
         for t, gi in zip(node.inputs, partials):

@@ -310,9 +310,9 @@ def train(
                     done = step + 1
                     stopping = stop_after is not None and done - start_step >= stop_after
                     if done % ckpt_every == 0 or done == tc.steps or stopping:
-                        opt_tensors = _opt_tensors(opt_state)
-                        save_checkpoint(out_dir / f"ckpt-{done:06d}.lcgc", named, opt_tensors, done, config_text)
-                        save_checkpoint(latest, named, opt_tensors, done, config_text)
+                        ckpt = out_dir / f"ckpt-{done:06d}.lcgc"
+                        # One serialisation for both files; the bytes are freed before the next step.
+                        write_atomic(latest, save_checkpoint(ckpt, named, _opt_tensors(opt_state), done, config_text))
                     if stopping:
                         break
         finally:

@@ -6,6 +6,8 @@ import zlib
 import numpy as np
 import pytest
 
+from lcgdiff import cli
+from lcgdiff import tensor as T
 from lcgdiff.cli import main
 from lcgdiff.dataforge import read_shard
 from lcgdiff.imageio import read_mask, read_ppm, write_mask, write_ppm
@@ -188,6 +190,21 @@ class TestSample:
         )
         assert code == 1
 
+    def test_image_grid_not_divisible_by_stage_fold_exits_1(self, tmp_path, config_path, run_dir, capsys):
+        # 36x36 at factor 4 is a 9x9 latent grid, which two levels cannot halve.
+        image_path = tmp_path / "in.ppm"
+        mask_path = tmp_path / "in.pgm"
+        write_ppm(image_path, np.zeros((36, 36, 3)))
+        write_mask(mask_path, np.ones((36, 36), np.uint8))
+        code = main(
+            ["sample", "--config", config_path, "--checkpoint", str(run_dir / "ckpt-latest.lcgc"),
+             "--image", str(image_path), "--mask", str(mask_path),
+             "--category", "fg", "--out", str(tmp_path / "o.ppm"), "--steps", "2"]
+        )
+        assert code == 1
+        assert "lcgdiff: error: denoise: grid 9x9 not divisible by 2 across 2 levels" in capsys.readouterr().err
+        assert not (tmp_path / "o.ppm").exists()
+
     def test_checkpoint_structure_mismatch_exits_2(self, tmp_path, config_path, run_dir):
         other = tmp_path / "other.cfg"
         other.write_text(TINY_CONFIG.replace("d = 8", "d = 12"))
@@ -242,6 +259,18 @@ class TestCheck:
         for suite in ("gla", "grad", "mask", "codec"):
             assert f"{suite}: ok" in out
 
+    def test_grad_suite_rejects_a_wrong_vjp_at_small_gradients(self, monkeypatch, capsys):
+        # swish scaled by 1e-7 with a vjp twice too large: every absolute error
+        # is near 1e-7, below the old 1e-6 bound but far above 1e-8.
+        def tiny_swish_wrong_vjp(x):
+            s = 1.0 / (1.0 + np.exp(-x.data))
+            slope = s + x.data * s * (1.0 - s)
+            return T._record(T.Tensor(1e-7 * x.data * s), (x,), lambda g: (2e-7 * g * slope,), "swish")
+
+        monkeypatch.setattr(cli, "swish", tiny_swish_wrong_vjp)
+        assert main(["check", "--suite", "grad"]) == 1
+        assert capsys.readouterr().out.startswith("grad: FAIL")
+
     def test_single_suite(self, capsys):
         assert main(["check", "--suite", "gla"]) == 0
         out = capsys.readouterr().out
@@ -292,6 +321,15 @@ class TestExitCodes:
         args = ["eval", "--config", config_path, "--checkpoint", str(ckpt), "--data", str(data_dir / "heldout.lcgs")]
         assert main(args) == 1
         assert "lcgdiff: error: params w shape (0, 4294967295, 4294967295) at offset 26" in capsys.readouterr().err
+
+    def test_heads_not_dividing_widths_is_2(self, tmp_path, capsys):
+        config = tmp_path / "h3.ini"
+        config.write_text("[model]\nheads = 3\n")
+        args = ["sample", "--config", str(config), "--checkpoint", str(tmp_path / "none.lcgc"),
+                "--image", str(tmp_path / "in.ppm"), "--mask", str(tmp_path / "in.pgm"),
+                "--category", "fg", "--out", str(tmp_path / "o.ppm")]
+        assert main(args) == 2
+        assert "lcgdiff: configuration error: model.heads must divide model.dk and model.dv" in capsys.readouterr().err
 
     def test_bad_log_level_is_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LCG_LOG", "loud")

@@ -159,6 +159,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sample.steps"):
             validate_config(c)
 
+    @pytest.mark.parametrize("heads, dk, dv", [(3, 16, 16), (4, 16, 6), (2, 5, 16)])
+    def test_heads_must_divide_key_and_value_widths(self, heads, dk, dv):
+        c = default_config()
+        c.model.heads, c.model.dk, c.model.dv = heads, dk, dv
+        with pytest.raises(ConfigError, match="model.heads must divide model.dk and model.dv"):
+            validate_config(c)
+
     def test_parse_validates(self):
         with pytest.raises(ConfigError, match="model.tau"):
             parse_config("[model]\ntau = -1.0\n")

@@ -29,14 +29,14 @@ def _random_instance(rng, length, dk, dv, lead=()):
     return q, k, v, alpha, beta
 
 
-def _per_token_attend(q, k, v, alpha, beta, s0=None):
+def _per_token_attend(q, k, v, alpha, beta):
     """The recurrence composed from tape primitives one token at a time.
 
     This is how ``gla_attend`` was built before it became one fused node;
     it stays here as a second judge of the fused forward pass and its vjp.
     """
     q, k, v, alpha, beta = (T.as_tensor(t) for t in (q, k, v, alpha, beta))
-    state = T.as_tensor(s0) if s0 is not None else Tensor(np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1])))
+    state = Tensor(np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1])))
     k_cols = T.swap_last(k)
     a_cols = T.swap_last(alpha)
     reads = []
@@ -46,11 +46,6 @@ def _per_token_attend(q, k, v, alpha, beta, s0=None):
         state = T.add(T.mul(gate, state), update)
         reads.append(T.matmul(T.narrow(q, -2, t, 1), state))
     return T.concat(reads, axis=-2), state
-
-
-def _weighted_sum(reads, state, w_reads, w_state):
-    """A scalar that gives both outputs of ``gla_attend`` a random cotangent."""
-    return T.add(T.reduce_sum(T.mul(reads, Tensor(w_reads))), T.reduce_sum(T.mul(state, Tensor(w_state))))
 
 
 def test_single_token_read_is_plain_outer_product():
@@ -133,15 +128,6 @@ def test_gate_limits_cumulative_and_local():
     local, _ = gla_attend(q, k, v, *zeros)
     for t in range(length):
         assert np.abs(local.data[t] - q[t] @ np.outer(k[t], v[t])).max() <= 1e-12
-
-
-def test_state_defaults_to_zero_and_resume_matches_full_scan():
-    rng = np.random.default_rng(5)
-    q, k, v, alpha, beta = _random_instance(rng, 8, 3, 5)
-    full, _ = gla_attend(q, k, v, alpha, beta)
-    first, carried = gla_attend(q[:3], k[:3], v[:3], alpha[:3], beta[:3])
-    second, _ = gla_attend(q[3:], k[3:], v[3:], alpha[3:], beta[3:], s0=carried)
-    np.testing.assert_allclose(np.vstack([first.data, second.data]), full.data, rtol=1e-12)
 
 
 def test_multi_head_scan_equals_manual_split():
@@ -259,26 +245,25 @@ def test_scan_is_deterministic():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("which", ["q", "k", "v", "alpha", "beta", "s0"])
+@pytest.mark.parametrize("which", ["q", "k", "v", "alpha", "beta"])
 def test_fused_node_gradients_match_differences(which):
     rng = np.random.default_rng(20)
     lead, length, dk, dv = (2,), 6, 3, 4
-    names = ["q", "k", "v", "alpha", "beta", "s0"]
-    inputs = dict(zip(names, [*_random_instance(rng, length, dk, dv, lead), rng.standard_normal(lead + (dk, dv))]))
+    names = ["q", "k", "v", "alpha", "beta"]
+    inputs = dict(zip(names, _random_instance(rng, length, dk, dv, lead)))
     # A gate of exactly 0 forgets the state, one of exactly 1 keeps it; a vjp
     # that divides by gates or takes their logs fails on the first.
     inputs["alpha"][0, 2, 1] = 0.0
     inputs["beta"][1, 4, 0] = 0.0
     inputs["alpha"][1, 3, 2] = 1.0
     inputs["beta"][0, 1, 3] = 1.0
-    w_reads = rng.standard_normal(lead + (length, dv))
-    w_state = rng.standard_normal(lead + (dk, dv))
+    w_reads = Tensor(rng.standard_normal(lead + (length, dv)))
 
     def loss(t):
         args = {name: Tensor(a) for name, a in inputs.items()}
         args[which] = t
-        reads, state = gla_attend(*(args[name] for name in names))
-        return _weighted_sum(reads, state, w_reads, w_state)
+        reads, _ = gla_attend(*(args[name] for name in names))
+        return T.reduce_sum(T.mul(reads, w_reads))
 
     report = T.check_gradient(loss, Tensor(inputs[which]))
     assert report.failures == []
@@ -286,50 +271,32 @@ def test_fused_node_gradients_match_differences(which):
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
-@pytest.mark.parametrize("with_s0", [False, True])
-def test_fused_node_agrees_with_per_token_composition(seed, with_s0):
+def test_fused_node_agrees_with_per_token_composition(seed):
     rng = np.random.default_rng(seed)
     lead = (int(rng.integers(1, 4)),)
     length, dk, dv = int(rng.integers(1, 16)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
-    arrays = [*_random_instance(rng, length, dk, dv, lead), rng.standard_normal(lead + (dk, dv))]
-    if not with_s0:
-        arrays = arrays[:5]
-    w_reads = rng.standard_normal(lead + (length, dv))
-    w_state = rng.standard_normal(lead + (dk, dv))
+    arrays = _random_instance(rng, length, dk, dv, lead)
+    w_reads = Tensor(rng.standard_normal(lead + (length, dv)))
 
     results = []
     for attend in (gla_attend, _per_token_attend):
         inputs = [Tensor(a, requires_grad=True) for a in arrays]
         with Tape() as tape:
             reads, state = attend(*inputs)
-            loss = _weighted_sum(reads, state, w_reads, w_state)
+            loss = T.reduce_sum(T.mul(reads, w_reads))
         grads = backward(tape, loss)
         results.append([reads.data, state.data] + [grads[t] for t in inputs])
     for fused, composed in zip(*results):
         np.testing.assert_allclose(fused, composed, rtol=1e-12)
 
 
-def test_gradient_through_a_carried_state_matches_the_full_scan():
-    # The first call's reads are unused: its vjp receives only the cotangent
-    # of the final state, which the second call hands back through ``s0``.
+def test_final_state_is_a_constant_outside_the_tape():
     rng = np.random.default_rng(27)
-    arrays = _random_instance(rng, 8, 3, 4, lead=(2,))
-    w_tail = Tensor(rng.standard_normal((2, 5, 4)))
-    results = []
-    for split in (False, True):
-        inputs = [Tensor(a, requires_grad=True) for a in arrays]
-        with Tape() as tape:
-            if split:
-                _, carried = gla_attend(*(T.narrow(t, -2, 0, 3) for t in inputs))
-                tail, _ = gla_attend(*(T.narrow(t, -2, 3, 5) for t in inputs), s0=carried)
-            else:
-                reads, _ = gla_attend(*inputs)
-                tail = T.narrow(reads, -2, 3, 5)
-            loss = T.reduce_sum(T.mul(tail, w_tail))
-        grads = backward(tape, loss)
-        results.append([grads[t] for t in inputs])
-    for full, split in zip(*results):
-        np.testing.assert_allclose(split, full, rtol=1e-12)
+    inputs = [Tensor(a, requires_grad=True) for a in _random_instance(rng, 5, 3, 4, lead=(2,))]
+    with Tape() as tape:
+        reads, state = gla_attend(*inputs)
+    assert reads.requires_grad and not state.requires_grad
+    assert [node.output for node in tape.nodes] == [reads]
 
 
 @pytest.mark.parametrize("heads", [1, 2])

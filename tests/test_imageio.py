@@ -1,5 +1,7 @@
 """PPM/PGM round trips and header handling."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,22 @@ class TestPgm:
     def test_shape_guard(self, tmp_path):
         with pytest.raises(ImageIOError, match=r"\(H, W\)"):
             write_pgm(tmp_path / "s.pgm", np.zeros((2, 2, 3)))
+
+
+@pytest.mark.parametrize("write, image", [(write_ppm, np.zeros((2, 3, 3))), (write_pgm, np.zeros((2, 3)))])
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, write, image):
+    path = tmp_path / "img"
+    write(path, image)
+    first = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="disk gone"):
+        write(path, np.ones_like(image))
+    assert path.read_bytes() == first
+    assert os.listdir(tmp_path) == ["img"]
 
 
 class TestMask:

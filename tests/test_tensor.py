@@ -241,7 +241,7 @@ PRIMITIVE_CASES = {
     "softmax": lambda x, c: T.mul(T.softmax(x), T.Tensor(c)),
     "layernorm": lambda x, c: T.mul(T.layernorm(x), T.Tensor(c)),
     "narrow": lambda x, c: T.mul(T.narrow(x, 0, 1, 2), T.Tensor(c[1:3])),
-    "mean": lambda x, c: T.add(T.reduce_mean(x, axis=-1, keepdims=False).sum(), T.reduce_sum(T.Tensor(c)) * 0.0),
+    "mean": lambda x, c: T.add(T.reduce_sum(T.reduce_mean(x, axis=-1)), T.mul(T.reduce_sum(T.Tensor(c)), 0.0)),
     "broadcast": lambda x, c: T.mul(T.broadcast_to(T.narrow(x, 0, 0, 1), c.shape), T.Tensor(c)),
 }
 

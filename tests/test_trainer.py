@@ -91,6 +91,21 @@ class TestTraining:
         assert r1.checkpoint_path.read_bytes() == r2.checkpoint_path.read_bytes()
         assert read_loss_log(r1.log_path) == read_loss_log(r2.log_path)
 
+    def test_each_checkpoint_step_saves_once_and_latest_matches(self, tmp_path, monkeypatch):
+        config = tiny_config()
+        config.train.checkpoint_every = 2
+        saved = []
+
+        def counting_save(path, *args):
+            saved.append(path.name)
+            return real_save(path, *args)
+
+        real_save = trainer_module.save_checkpoint
+        monkeypatch.setattr(trainer_module, "save_checkpoint", counting_save)
+        result = train(config, make_samples(config), tmp_path / "run")
+        assert saved == ["ckpt-000002.lcgc", "ckpt-000004.lcgc", "ckpt-000005.lcgc"]
+        assert result.checkpoint_path.read_bytes() == (tmp_path / "run" / "ckpt-000005.lcgc").read_bytes()
+
     def test_uneven_final_chunk(self, tmp_path):
         config = tiny_config()
         config.train.batch = 5  # chunks of 2, 2, 1
