@@ -1,15 +1,16 @@
-"""Interaction blocks: gated-linear self-decoding, cross-decoding, MLP.
+"""Interaction blocks: gated-linear self-decoding, category bias, MLP.
 
-A block transforms a token stream in three residual stages, each wrapped
-separately around a pre-normalized branch:
+A block transforms a token stream in three residual stages:
 
     H  = L_in + mixer(norm1(L_in))            self-decoding
-    H' = H + softmax_attn(norm2(H), E)        cross-decoding over embeddings
+    H' = H + mean(E) W_v W_o                  category bias from embeddings
     out = H' + mlp(norm3(H'))                 position-wise MLP
 
-Cross-decoding queries come from the stream; keys and values come from the
-conditioning embedding tokens E. Blocks built without the cross stage skip
-it and keep the other two.
+The middle stage injects the conditioning embedding tokens E as one row per
+batch item, added to every token of the stream. It does not read the
+stream: attention over a single category token puts all its weight on that
+token, so the bias is what such a stage computes. Blocks built without the
+cross stage skip it and keep the other two.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .tensor import (
     layernorm,
     matmul,
     mul,
-    softmax,
-    swap_last,
+    reduce_mean,
     swish,
 )
 
@@ -37,7 +37,7 @@ __all__ = [
     "init_interaction_params",
     "norm_affine",
     "self_decode",
-    "cross_attend",
+    "category_bias",
     "cross_decode",
     "interaction_forward",
 ]
@@ -47,19 +47,14 @@ __all__ = [
 class InteractionParams:
     """Weights for one interaction block.
 
-    ``cross_*`` and the second norm pair are None for blocks built without
-    the cross-decoding stage.
+    ``cross_*`` are None for blocks built without the cross stage.
     """
 
     gla: GlaParams
     norm1_gamma: Tensor
     norm1_beta: Tensor
-    norm2_gamma: Tensor | None
-    norm2_beta: Tensor | None
     norm3_gamma: Tensor
     norm3_beta: Tensor
-    cross_q: Tensor | None
-    cross_k: Tensor | None
     cross_v: Tensor | None
     cross_o: Tensor | None
     mlp_in: Tensor
@@ -68,7 +63,7 @@ class InteractionParams:
 
     @property
     def has_cross(self) -> bool:
-        return self.cross_q is not None
+        return self.cross_v is not None
 
     @property
     def d(self) -> int:
@@ -79,10 +74,6 @@ class InteractionParams:
         out["norm1.gamma"] = self.norm1_gamma
         out["norm1.beta"] = self.norm1_beta
         if self.has_cross:
-            out["norm2.gamma"] = self.norm2_gamma
-            out["norm2.beta"] = self.norm2_beta
-            out["cross.q"] = self.cross_q
-            out["cross.k"] = self.cross_k
             out["cross.v"] = self.cross_v
             out["cross.o"] = self.cross_o
         out["norm3.gamma"] = self.norm3_gamma
@@ -118,12 +109,8 @@ def init_interaction_params(
         gla=init_gla_params(d, dk, dv, rng, tau=tau, heads=heads, zero_residual=zero_residual),
         norm1_gamma=Tensor(np.ones(d), requires_grad=True),
         norm1_beta=Tensor(np.zeros(d), requires_grad=True),
-        norm2_gamma=Tensor(np.ones(d), requires_grad=True) if with_cross else None,
-        norm2_beta=Tensor(np.zeros(d), requires_grad=True) if with_cross else None,
         norm3_gamma=Tensor(np.ones(d), requires_grad=True),
         norm3_beta=Tensor(np.zeros(d), requires_grad=True),
-        cross_q=dense(d, (d, d)) if with_cross else None,
-        cross_k=dense(d_e, (d_e, d)) if with_cross else None,
         cross_v=dense(d_e, (d_e, d)) if with_cross else None,
         cross_o=maybe_zero(d, (d, d)) if with_cross else None,
         mlp_in=dense(d, (d, hidden)),
@@ -151,20 +138,19 @@ def _validate_embeddings(e: Tensor, params: InteractionParams) -> None:
             f"cross_decode: need at least one embedding token, got shape {e.shape}; "
             "pass the null-category embedding rather than an empty token set"
         )
-    if e.shape[-1] != params.cross_k.shape[0]:
+    if e.shape[-1] != params.cross_v.shape[0]:
         raise ShapeError(
-            f"cross_decode: embedding width {e.shape[-1]} != key projection input {params.cross_k.shape[0]}"
+            f"cross_decode: embedding width {e.shape[-1]} != value projection input {params.cross_v.shape[0]}"
         )
 
 
-def cross_attend(h_normed, e, params: InteractionParams) -> Tensor:
-    """Softmax attention from stream queries onto embedding keys/values."""
-    q = matmul(h_normed, params.cross_q)
-    k = matmul(e, params.cross_k)
-    v = matmul(e, params.cross_v)
-    scale = 1.0 / np.sqrt(params.cross_q.shape[1])
-    scores = mul(matmul(q, swap_last(k)), scale)
-    return matmul(matmul(softmax(scores, axis=-1), v), params.cross_o)
+def category_bias(e, params: InteractionParams) -> Tensor:
+    """The embedding tokens' mean through the value and output projections.
+
+    (m, d_e) gives one (1, d) row, (B, m, d_e) one row per batch item; at
+    one token the mean is an exact copy of it.
+    """
+    return matmul(matmul(reduce_mean(e, axis=-2, keepdims=True), params.cross_v), params.cross_o)
 
 
 def _mlp_stage(h, params: InteractionParams) -> Tensor:
@@ -174,14 +160,13 @@ def _mlp_stage(h, params: InteractionParams) -> Tensor:
 
 
 def cross_decode(h, e, params: InteractionParams) -> Tensor:
-    """Condition the stream on embedding tokens, then apply the MLP stage."""
+    """Add the category bias of the embedding tokens, then apply the MLP stage."""
     h = as_tensor(h)
     if not params.has_cross:
         raise ShapeError("cross_decode: this block was built without a cross stage")
     e = as_tensor(e)
     _validate_embeddings(e, params)
-    attended = cross_attend(norm_affine(h, params.norm2_gamma, params.norm2_beta), e, params)
-    return _mlp_stage(add(h, attended), params)
+    return _mlp_stage(add(h, category_bias(e, params)), params)
 
 
 def interaction_forward(l_in, e, params: InteractionParams) -> Tensor:

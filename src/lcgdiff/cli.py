@@ -261,10 +261,15 @@ def _suite_grad(seed: int) -> tuple[bool, str]:
     x = rng.standard_normal((7, 6))
     e = rng.standard_normal((2, 5))
 
-    def f(p: Tensor) -> Tensor:
-        return mean_square(interaction_forward(p, e, params))
-
-    reports = [check_gradient(f, Tensor(x, requires_grad=True), max_probes=12, rng=np.random.default_rng(0))]
+    # The block with respect to its stream, then its embedding tokens: the
+    # category bias does not read the stream, so only the second probe
+    # reaches the cross stage's vjp.
+    reports = [
+        check_gradient(lambda p: mean_square(interaction_forward(p, e, params)), Tensor(x),
+                       max_probes=12, rng=np.random.default_rng(0)),
+        check_gradient(lambda p: mean_square(interaction_forward(x, p, params)), Tensor(e),
+                       max_probes=12, rng=np.random.default_rng(0)),
+    ]
 
     # The fused gla_attend node's hand-written vjp, probed on each of its five
     # inputs (q, k, v, alpha, beta) with a loss on the reads.
@@ -301,7 +306,7 @@ def _suite_grad(seed: int) -> tuple[bool, str]:
     probed = sum(r.probed for r in reports)
     return ok, (
         f"max rel err {worst_rel:.3e}, max abs err {worst_abs:.3e} on {probed} probed coordinates"
-        " (interaction block, gla_attend, sigmoid, swish)"
+        " (interaction block on stream and tokens, gla_attend, sigmoid, swish)"
     )
 
 

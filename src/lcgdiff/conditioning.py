@@ -144,9 +144,9 @@ def drop_condition(category: Category, p_drop: float, rng: np.random.Generator) 
 class LcgEmbeddingTable:
     """Learned category tokens plus the shared up-projection.
 
-    Each category owns ``m`` tokens of width ``e_dim``; ``up`` lifts them to
-    the width the cross-attention keys/values expect. Keeping the three
-    categories in separate leaves means gradients only ever reach the rows
+    Each category owns one token of width ``e_dim``; ``up`` lifts it to the
+    width the category-bias value projection expects. Keeping the three
+    categories in separate leaves means gradients only ever reach the row
     of the category that was actually selected.
     """
 
@@ -171,23 +171,20 @@ def init_embedding_table(
     e_dim: int,
     d_e: int,
     rng: np.random.Generator,
-    tokens_per_category: int = 1,
     init_scale: float = 0.02,
 ) -> LcgEmbeddingTable:
-    if e_dim < 1 or d_e < 1 or tokens_per_category < 1:
-        raise ValueError(
-            f"embedding table dims must be positive, got e_dim={e_dim} d_e={d_e} m={tokens_per_category}"
-        )
+    if e_dim < 1 or d_e < 1:
+        raise ValueError(f"embedding table dims must be positive, got e_dim={e_dim} d_e={d_e}")
 
-    def rows() -> Tensor:
-        return Tensor(rng.standard_normal((tokens_per_category, e_dim)) * init_scale, requires_grad=True)
+    def row() -> Tensor:
+        return Tensor(rng.standard_normal((1, e_dim)) * init_scale, requires_grad=True)
 
     up = Tensor(rng.standard_normal((e_dim, d_e)) * init_scale, requires_grad=True)
-    return LcgEmbeddingTable(fg=rows(), bg=rows(), null=rows(), up=up)
+    return LcgEmbeddingTable(fg=row(), bg=row(), null=row(), up=up)
 
 
 def embed(category: Category, table: LcgEmbeddingTable) -> Tensor:
-    """Selected category tokens through the up-projection: an (m, d_e) block."""
+    """The selected category token through the up-projection: a (1, d_e) block."""
     selected = {Category.FOREGROUND: table.fg, Category.BACKGROUND: table.bg, Category.NULL: table.null}[category]
     return matmul(selected, table.up)
 

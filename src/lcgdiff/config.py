@@ -195,9 +195,7 @@ def validate_config(config: Config) -> None:
         (m.heads < 1 or (m.dk % m.heads == 0 and m.dv % m.heads == 0), "model.heads must divide model.dk and model.dv"),
         (m.tau > 0, "model.tau must be positive"),
         (m.e_dim >= 1 and m.d_e >= 1, "model embedding widths must be positive"),
-        (m.tokens_per_category >= 1, "model.tokens_per_category must be >= 1"),
         (len(m.stages) >= 1 and all(x >= 1 for x in m.stages), "model.stages entries must be >= 1"),
-        (m.cross in ("alternate", "all"), "model.cross must be alternate or all"),
         (m.temb_dim % 4 == 0 and m.temb_dim > 0, "model.temb_dim must be a positive multiple of 4"),
         (config.schedule.timesteps >= 1, "schedule.timesteps must be >= 1"),
         (0 < config.schedule.beta_start <= config.schedule.beta_end < 1, "schedule betas must satisfy 0 < start <= end < 1"),

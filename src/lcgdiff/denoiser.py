@@ -8,11 +8,12 @@ embeddings are added to every token before the first block; without the
 position term no token knows where it sits, and extrapolating structure
 into a masked region needs coordinates.
 
-Cross-decoding runs either in every block (``cross="all"``) or in blocks
-with even global index (``cross="alternate"``); block order is down path,
-bottom, up path. Blocks with odd global index consume the token stream in
-reversed order: the self-decoding recurrence only carries state forward, so
-alternating its orientation is what lets any token inform any other.
+Blocks with even global index add the category bias of the conditioning
+embedding, so the category reaches the stream intermittently; block order is
+down path, bottom, up path. Blocks with odd global index consume the token
+stream in reversed order: the self-decoding recurrence only carries state
+forward, so alternating its orientation is what lets any token inform any
+other.
 
 The output head adds an analytic skip, a(t) x_t + b(t) masked_latent with
 learned per-timestep scalars. The noise target is an affine function of
@@ -65,10 +66,8 @@ class DenoiserConfig:
     tau: float = 16.0
     d_e: int = 64  # width of conditioning embedding tokens
     e_dim: int = 20  # width of the per-category table rows lifted to d_e
-    tokens_per_category: int = 1
     stages: tuple[int, ...] = (1, 1)  # blocks per level; last entry is the bottom
     mlp_ratio: int = 4
-    cross: str = "alternate"  # alternate | all
     temb_dim: int = 32
 
     @property
@@ -137,12 +136,6 @@ class DenoiserParams:
         return out
 
 
-def _block_uses_cross(config: DenoiserConfig, global_index: int) -> bool:
-    if config.cross == "all":
-        return True
-    return global_index % 2 == 0
-
-
 def init_denoiser(
     config: DenoiserConfig, rng: np.random.Generator, zero_residual: bool = True
 ) -> DenoiserParams:
@@ -160,7 +153,7 @@ def init_denoiser(
             rng,
             tau=config.tau,
             heads=config.heads,
-            with_cross=_block_uses_cross(config, counter[0]),
+            with_cross=counter[0] % 2 == 0,
             mlp_ratio=config.mlp_ratio,
             zero_residual=zero_residual,
         )

@@ -13,6 +13,7 @@ chunk-index order afterward, which keeps results identical for any
 
 from __future__ import annotations
 
+import fcntl
 import logging
 import os
 import time
@@ -86,12 +87,7 @@ def step_rng(seed: int, tag: int, step: int) -> np.random.Generator:
 
 def build_model(config: Config, rng: np.random.Generator) -> tuple[DenoiserParams, LcgEmbeddingTable]:
     params = init_denoiser(config.model, rng, zero_residual=True)
-    table = init_embedding_table(
-        e_dim=config.model.e_dim,
-        d_e=config.model.d_e,
-        rng=rng,
-        tokens_per_category=config.model.tokens_per_category,
-    )
+    table = init_embedding_table(e_dim=config.model.e_dim, d_e=config.model.d_e, rng=rng)
     return params, table
 
 
@@ -152,19 +148,34 @@ def _cut_loss_log(path: Path, step: int) -> None:
 
 
 class _Lock:
+    """An exclusive ``flock`` on ``<out>/lock``, which names the holder's pid.
+
+    The kernel drops the lock when its holder exits, however it dies, so a
+    file left behind by a killed run does not block the next one.
+    """
+
     def __init__(self, out_dir: Path):
         self.path = out_dir / "lock"
 
     def __enter__(self):
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise LockError(
-                f"training lock {self.path} exists; another run owns this directory "
-                "(delete the file if that run is gone)"
-            ) from None
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
+        while True:
+            fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                os.close(fd)
+                raise LockError(f"training lock {self.path} is held by a live run that owns this directory") from None
+            # A releasing run unlinks the file while it still holds the lock,
+            # so a lock on an inode the path no longer names guards nothing.
+            try:
+                if os.path.samestat(os.fstat(fd), os.stat(self.path)):
+                    break
+            except FileNotFoundError:
+                pass
+            os.close(fd)
+        os.ftruncate(fd, 0)
+        os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+        self.fd = fd
         return self
 
     def __exit__(self, *exc):
@@ -172,6 +183,7 @@ class _Lock:
             os.unlink(self.path)
         except FileNotFoundError:
             pass
+        os.close(self.fd)
         return False
 
 

@@ -1,11 +1,11 @@
-"""Interaction block behavior: residual structure, cross attention, gradients."""
+"""Interaction block behavior: residual structure, category bias, gradients."""
 
 import numpy as np
 import pytest
 
 from lcgdiff import tensor as T
 from lcgdiff.blocks import (
-    cross_attend,
+    category_bias,
     cross_decode,
     init_interaction_params,
     interaction_forward,
@@ -56,20 +56,33 @@ def test_cross_decode_with_zeroed_value_and_mlp_projections_is_identity():
     params.mlp_out.data[:] = 0.0
     h = _stream(6)
     out = cross_decode(h, _tokens(7), params)
-    # Zero values make the attention read zero regardless of the softmax;
-    # zero cross_o is not needed for identity here.
+    # Zero values make the bias zero; zero cross_o is not needed for identity here.
     np.testing.assert_allclose(out.data, h.data, atol=1e-15)
 
 
-def test_single_embedding_token_attention_is_softmax_free():
+def test_category_bias_is_the_mean_token_through_value_and_output():
     params = _params(8)
-    h = _stream(9)
-    e = _tokens(10, m=1)
-    normed = norm_affine(h, params.norm2_gamma, params.norm2_beta)
-    out = cross_attend(normed, e, params)
-    # One key: softmax weight is exactly 1, so every token reads the same value row.
-    expected = np.tile(e.data @ params.cross_v.data @ params.cross_o.data, (L, 1))
+    e = _tokens(10)
+    out = category_bias(e, params)
+    expected = e.data.mean(axis=0, keepdims=True) @ params.cross_v.data @ params.cross_o.data
     np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+    # One token: the mean is an exact copy, so the bias is E W_v W_o to the bit.
+    one = _tokens(10, m=1)
+    np.testing.assert_array_equal(
+        category_bias(one, params).data, one.data @ params.cross_v.data @ params.cross_o.data
+    )
+
+
+def test_cross_stage_adds_one_bias_row_to_every_token():
+    params = _params(9)
+    params.mlp_out.data[:] = 0.0
+    h = _stream(9)
+    e = Tensor(np.random.default_rng(10).standard_normal((2, 3, DE)))
+    hs = Tensor(np.stack([h.data, h.data]))
+    out = cross_decode(hs, e, params).data
+    bias = category_bias(e, params).data
+    assert bias.shape == (2, 1, D)
+    np.testing.assert_array_equal(out, hs.data + bias)
 
 
 def test_duplicated_embedding_tokens_are_order_invariant():
@@ -162,13 +175,12 @@ def test_block_gradients_match_finite_differences():
     assert report.failures == []
     assert report.max_rel_err <= 1e-4, report
 
-    def wrt_cross_k(t):
-        trial = type(params)(**{**params.__dict__, "cross_k": t})
-        return T.mean_square(interaction_forward(Tensor(x), Tensor(e), trial))
+    def wrt_tokens(t):
+        return T.mean_square(interaction_forward(Tensor(x), t, params))
 
-    report_k = T.check_gradient(wrt_cross_k, params.cross_k)
-    assert report_k.failures == []
-    assert report_k.max_rel_err <= 1e-4, report_k
+    report_e = T.check_gradient(wrt_tokens, Tensor(e))
+    assert report_e.failures == []
+    assert report_e.max_rel_err <= 1e-4, report_e
 
 
 def test_forward_is_deterministic():

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from lcgdiff import cli
+from lcgdiff import blocks, cli
 from lcgdiff import tensor as T
 from lcgdiff.cli import main
 from lcgdiff.dataforge import read_shard
@@ -268,6 +268,18 @@ class TestCheck:
             return T._record(T.Tensor(1e-7 * x.data * s), (x,), lambda g: (2e-7 * g * slope,), "swish")
 
         monkeypatch.setattr(cli, "swish", tiny_swish_wrong_vjp)
+        assert main(["check", "--suite", "grad"]) == 1
+        assert capsys.readouterr().out.startswith("grad: FAIL")
+
+    def test_grad_suite_rejects_a_wrong_vjp_in_the_category_bias(self, monkeypatch, capsys):
+        # The bias does not read the stream, so only the probe on the
+        # embedding tokens meets this token mean with a doubled vjp.
+        def mean_wrong_vjp(x, axis, keepdims):
+            x = T.as_tensor(x)
+            out = T.Tensor(x.data.mean(axis=axis, keepdims=keepdims))
+            return T._record(out, (x,), lambda g: (np.broadcast_to(2.0 * g / x.shape[axis], x.shape),), "reduce_mean")
+
+        monkeypatch.setattr(blocks, "reduce_mean", mean_wrong_vjp)
         assert main(["check", "--suite", "grad"]) == 1
         assert capsys.readouterr().out.startswith("grad: FAIL")
 

@@ -106,11 +106,11 @@ def test_drop_condition_consumes_one_draw_either_way():
 
 
 def test_embedding_shapes_and_dims():
-    table = init_embedding_table(20, 12, np.random.default_rng(5), tokens_per_category=2)
+    table = init_embedding_table(20, 12, np.random.default_rng(5))
     assert table.e_dim == 20 and table.d_e == 12
     for cat in Category:
         tokens = embed(cat, table)
-        assert tokens.shape == (2, 12)
+        assert tokens.shape == (1, 12)
 
 
 def test_embedding_gradient_reaches_only_selected_rows():

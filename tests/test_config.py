@@ -96,10 +96,8 @@ class TestDump:
             "tau = 16.0",
             "d_e = 64",
             "e_dim = 20",
-            "tokens_per_category = 1",
             "stages = 1,1",
             "mlp_ratio = 4",
-            "cross = alternate",
             "temb_dim = 32",
         ]
 
@@ -133,12 +131,6 @@ class TestValidation:
         c = default_config()
         c.sample.guidance = "sideways"
         with pytest.raises(ConfigError, match="sample.guidance"):
-            validate_config(c)
-
-    def test_cross_words(self):
-        c = default_config()
-        c.model.cross = "never"
-        with pytest.raises(ConfigError, match="model.cross"):
             validate_config(c)
 
     def test_probability_ranges(self):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from lcgdiff.conditioning import Category, embed, init_embedding_table
+from lcgdiff.diffusion import build_conditioning, loss_given_noise, make_schedule
 from lcgdiff.denoiser import (
     DenoiserConfig,
     _fold_grid,
@@ -12,7 +14,7 @@ from lcgdiff.denoiser import (
     position_embedding,
     timestep_embedding,
 )
-from lcgdiff.tensor import ShapeError, Tape, Tensor, backward, check_gradient, mean_square
+from lcgdiff.tensor import ShapeError, Tape, Tensor, backward, check_gradient, mean_square, stack
 
 TINY = DenoiserConfig(channels=2, factor=1, d=8, dk=4, dv=4, d_e=6, stages=(1, 1), temb_dim=8)
 
@@ -93,7 +95,7 @@ class TestBatchInvariance:
 
     CASES = {
         "default": (DenoiserConfig(), 1),
-        "heads2-three-levels-cross-all": (DenoiserConfig(heads=2, stages=(1, 1, 1), cross="all"), 1),
+        "heads2-three-levels": (DenoiserConfig(heads=2, stages=(1, 1, 1)), 1),
         "three-tokens": (DenoiserConfig(), 3),
     }
 
@@ -213,13 +215,6 @@ class TestCrossPattern:
         # Order: two down blocks, one bottom, two up blocks.
         assert self._flags(params) == [True, False, True, False, True]
 
-    def test_all_enables_every_block(self):
-        cfg = DenoiserConfig(
-            channels=2, factor=1, d=8, dk=4, dv=4, d_e=6, stages=(2, 1), temb_dim=8, cross="all"
-        )
-        params = init_denoiser(cfg, np.random.default_rng(0))
-        assert self._flags(params) == [True] * 5
-
     def test_embedding_tokens_change_output(self):
         rng = np.random.default_rng(8)
         params = init_denoiser(TINY, rng, zero_residual=False)
@@ -227,6 +222,30 @@ class TestCrossPattern:
         a = denoise(x, 10, cond, e, params).numpy()
         b = denoise(x, 10, cond, e + 0.5, params).numpy()
         assert np.abs(a - b).max() > 1e-8
+
+
+class TestNoDeadParameter:
+    def test_every_parameter_gets_a_gradient_on_a_default_chunk(self):
+        # Nonzero residual projections, so a zero gradient can only mean a
+        # parameter that no path from the loss reaches.
+        config = DenoiserConfig()
+        rng = np.random.default_rng(0)
+        params = init_denoiser(config, rng, zero_residual=False)
+        table = init_embedding_table(config.e_dim, config.d_e, rng)
+        named = {**params.named_params(), **table.named_params()}
+        assert sum(t.data.size for t in named.values()) == 198_076
+        cats = [Category.FOREGROUND, Category.BACKGROUND, Category.NULL] * 2 + [Category.FOREGROUND] * 2
+        images = rng.random((8, 32, 32, config.channels))
+        masks = (rng.random((8, 32, 32)) < 0.4).astype(np.uint8)
+        z0, cond = map(np.stack, zip(*(build_conditioning(i, m, config.factor) for i, m in zip(images, masks))))
+        t = rng.integers(0, 1000, size=8)
+        eps = rng.standard_normal(z0.shape)
+        with Tape() as tape:
+            e = stack([embed(c, table) for c in cats], axis=0)
+            loss = loss_given_noise(params, z0, cond, e, t, eps, make_schedule())
+        grads = backward(tape, loss)
+        zeros = {name: int((grads.get(p, np.zeros(p.shape)) == 0).sum()) for name, p in named.items()}
+        assert {name: n for name, n in zeros.items() if n} == {}
 
 
 class TestReceptiveField:

@@ -29,7 +29,7 @@ CFG = DenoiserConfig(channels=3, factor=2, d=8, dk=4, dv=4, d_e=6, stages=(1, 1)
 def _model(seed=0, zero_residual=False):
     rng = np.random.default_rng(seed)
     params = init_denoiser(CFG, rng, zero_residual=zero_residual)
-    table = init_embedding_table(e_dim=5, d_e=CFG.d_e, rng=rng, tokens_per_category=2)
+    table = init_embedding_table(e_dim=5, d_e=CFG.d_e, rng=rng)
     return params, table
 
 

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcgdiff.imageio import (
     ImageIOError,
@@ -110,3 +112,84 @@ class TestMask:
     def test_nonbinary_mask_rejected(self, tmp_path):
         with pytest.raises(ImageIOError, match="0 or 1"):
             write_mask(tmp_path / "b.pgm", np.array([[0, 2]]))
+
+
+# (reader, magic, channels); read_mask is read_pgm thresholded.
+_READERS = {"ppm": (read_ppm, b"P6", 3), "pgm": (read_pgm, b"P5", 1), "mask": (read_mask, b"P5", 1)}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("imagefuzz")
+
+
+def _read_or_error(reader: str, path):
+    """The reader's array, or None when it raised ImageIOError; anything else escapes."""
+    read, _, channels = _READERS[reader]
+    try:
+        arr = read(path)
+    except ImageIOError:
+        return None
+    assert arr.ndim == (3 if channels == 3 else 2)
+    assert arr.min() >= 0.0 and arr.max() <= 1.0
+    if reader == "mask":
+        assert arr.dtype == np.uint8 and np.isin(arr, (0, 1)).all()
+    return arr
+
+
+# Separators between header fields, and whether the format accepts them: a
+# comment must follow whitespace, and fields must not run together.
+_SEPARATORS = {b" ": True, b"\n": True, b"\t": True, b"\r\n": True, b"\n# note\n": True, b"": False, b"#\n": False}
+# Width fields, and the width they declare when the format accepts them.
+_WIDTHS = {b"1": 1, b"3": 3, b"05": 5, b"0": None, b"-2": None, b"1.5": None, b"0x3": None,
+           "\u0663".encode("utf-8"): None, str(10**30).encode("ascii"): None}
+_MAXVALS = {b"255": True, b"0255": True, b"65535": False, b"0": False, b"-255": False, b"255.0": False}
+
+
+class TestReadersUnderArbitraryBytes:
+    """Any bytes give ImageIOError or an array of the header's shape in [0, 1]."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        reader=st.sampled_from(sorted(_READERS)),
+        magic=st.sampled_from([b"P6", b"P5", b"P3", b"P6x", b"\xff"]),
+        w=st.sampled_from(sorted(_WIDTHS)),
+        h=st.integers(-1, 4),
+        maxval=st.sampled_from(sorted(_MAXVALS)),
+        seps=st.lists(st.sampled_from(sorted(_SEPARATORS)), min_size=3, max_size=3),
+        end=st.sampled_from([b" ", b"\n", b"\t", b"\r"]),
+        spare=st.integers(-3, 3),
+        data=st.data(),
+    )
+    def test_generated_headers(self, fuzz_dir, reader, magic, w, h, maxval, seps, end, spare, data):
+        _, want_magic, channels = _READERS[reader]
+        width = _WIDTHS[w]
+        header = magic + b"".join(sep + field for sep, field in zip(seps, (w, str(h).encode("ascii"), maxval))) + end
+        need = width * h * channels if width and h > 0 else 4
+        payload = data.draw(st.binary(min_size=max(need + spare, 0), max_size=max(need + spare, 0)))
+        path = fuzz_dir / f"gen.{reader}"
+        path.write_bytes(header + payload)
+        arr = _read_or_error(reader, path)
+        valid_header = (
+            magic == want_magic and all(_SEPARATORS[sep] for sep in seps) and width and h > 0 and _MAXVALS[maxval]
+        )
+        # Pixels past the declared count are ignored; too few are an error.
+        assert (arr is not None) == bool(valid_header and spare >= 0), header
+        if arr is not None:
+            assert arr.shape[:2] == (h, width)
+
+    @settings(max_examples=300, deadline=None)
+    @given(reader=st.sampled_from(sorted(_READERS)), data=st.data())
+    def test_mutated_files(self, fuzz_dir, reader, data):
+        _, magic, channels = _READERS[reader]
+        rng = np.random.default_rng(0)
+        h, w = 3, 4
+        raw = bytearray(magic + b"\n# c\n4 3\n255\n" + rng.integers(0, 256, h * w * channels, dtype=np.uint8).tobytes())
+        if data.draw(st.integers(0, 3)) == 0:
+            del raw[data.draw(st.integers(0, len(raw) - 1)) :]
+        for _ in range(data.draw(st.integers(1, 3))):
+            if raw:
+                raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        path = fuzz_dir / f"mut.{reader}"
+        path.write_bytes(bytes(raw))
+        _read_or_error(reader, path)

@@ -1,5 +1,12 @@
 """Training loop behavior: determinism, threading, resume, locking."""
 
+import fcntl
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -201,9 +208,47 @@ class TestLock:
         config = tiny_config()
         out = tmp_path / "run"
         out.mkdir()
-        (out / "lock").write_text("12345")
-        with pytest.raises(LockError, match="lock"):
-            train(config, make_samples(config), out)
+        with open(out / "lock", "w") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX)
+            with pytest.raises(LockError, match="lock"):
+                train(config, make_samples(config), out)
+
+    def test_lock_of_a_killed_run_is_taken_over(self, tmp_path):
+        config = tiny_config()
+        out = tmp_path / "run"
+        out.mkdir()
+        src = Path(trainer_module.__file__).resolve().parents[1]
+        holder = (
+            "import os, signal, sys\n"
+            "from pathlib import Path\n"
+            "from lcgdiff.trainer import _Lock\n"
+            "with _Lock(Path(sys.argv[1])):\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", holder, str(out)], env=env, timeout=60)
+        assert done.returncode == -signal.SIGKILL
+        assert (out / "lock").read_text().strip().isdigit()  # the file outlives its holder
+        assert train(config, make_samples(config), out).steps_run == config.train.steps
+        assert not (out / "lock").exists()
+
+    def test_lock_retries_when_a_releasing_run_unlinks_the_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        out.mkdir()
+        real_flock = fcntl.flock
+        calls = []
+
+        def flock_after_release(fd, op):
+            if not calls:  # the previous holder unlinks the file between our open and our lock
+                os.unlink(out / "lock")
+            calls.append(fd)
+            return real_flock(fd, op)
+
+        monkeypatch.setattr(fcntl, "flock", flock_after_release)
+        with trainer_module._Lock(out) as lock:
+            assert len(calls) == 2
+            assert os.fstat(lock.fd).st_ino == os.stat(out / "lock").st_ino
+        assert not (out / "lock").exists()
 
     def test_lock_released_after_run(self, tmp_path):
         config = tiny_config()
