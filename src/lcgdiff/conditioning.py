@@ -30,7 +30,6 @@ __all__ = [
     "LcgEmbeddingTable",
     "category_for_kind",
     "validate_binary_mask",
-    "foreground_mask",
     "compose_background_mask",
     "drop_condition",
     "init_embedding_table",
@@ -90,11 +89,6 @@ def validate_binary_mask(mask: np.ndarray, name: str = "mask") -> np.ndarray:
         offender = arr[bad].flat[0]
         raise MaskError(f"{name}: mask must be binary, found value {offender!r}")
     return arr.astype(np.uint8)
-
-
-def foreground_mask(m_obj: np.ndarray) -> np.ndarray:
-    """An object mask conditions the foreground category as-is."""
-    return validate_binary_mask(m_obj, "object mask")
 
 
 def compose_background_mask(

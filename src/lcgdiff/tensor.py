@@ -40,7 +40,6 @@ __all__ = [
     "power",
     "matmul",
     "transpose",
-    "swap_last",
     "flip",
     "reshape",
     "broadcast_to",
@@ -304,15 +303,6 @@ def transpose(x, axes: Sequence[int] | None = None) -> Tensor:
     return _record(out, (x,), vjp, "transpose")
 
 
-def swap_last(x) -> Tensor:
-    """Transpose the trailing two axes, leaving batch dimensions alone."""
-    x = as_tensor(x)
-    if x.data.ndim < 2:
-        raise ShapeError(f"swap_last: need at least 2-d, got {x.data.shape}")
-    axes = tuple(range(x.data.ndim - 2)) + (x.data.ndim - 1, x.data.ndim - 2)
-    return transpose(x, axes)
-
-
 def flip(x, axis: int) -> Tensor:
     """Reverse the entries along one axis."""
     x = as_tensor(x)
@@ -426,10 +416,15 @@ def _sigmoid_stable(v: np.ndarray) -> np.ndarray:
     One ``exp(-|v|)`` serves both sides, so no exponent overflows and no
     boolean gather runs. ``minimum(v, -v)`` rather than ``-abs(v)`` keeps the
     sign bit of a NaN input, so the result is bitwise that of the per-side
-    formulas evaluated separately.
+    formulas evaluated separately. The numerator is ``max(v >= 0, ev)``:
+    1 where ``v >= 0`` (there ``ev <= 1``), ``ev`` elsewhere, NaN kept. Both
+    buffers are written in place; ``out=`` also keeps a 0-d input an array.
     """
-    ev = np.exp(np.minimum(v, -v))
-    num = np.where(v >= 0, 1.0, ev)
+    ev = np.negative(v, out=np.empty_like(v))
+    np.minimum(v, ev, out=ev)
+    np.exp(ev, out=ev)
+    num = np.greater_equal(v, 0.0, out=np.empty_like(v))
+    np.maximum(num, ev, out=num)
     ev += 1.0
     num /= ev
     return num

@@ -6,9 +6,11 @@ config. Resuming from a checkpoint therefore replays the exact run that an
 uninterrupted process would have produced.
 
 A batch is split into fixed-size chunks. Chunks may be evaluated on any
-number of worker threads, but their losses and gradients are reduced in
+number of threads, but their losses and gradients are reduced in
 chunk-index order afterward, which keeps results identical for any
-``--threads`` value.
+``--threads`` value. Eval splits its held-out items across threads the same
+way; each item has its own generator, so the fills do not depend on the
+thread count either.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import fcntl
 import logging
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -65,7 +68,11 @@ TAG_SAMPLE = 4
 
 LATEST_CHECKPOINT = "ckpt-latest.lcgc"
 
-EVAL_CHUNK = 16  # held-out items per sample call
+EVAL_CHUNK = 16  # held-out items per sample call on the calling thread
+# ... and on a worker thread, whose whole working set is new memory. In the
+# benchmark's 16-item eval on two cores, a worker filling its 8 items 4 at a
+# time adds about 7 MB to the peak RSS; 8 at a time, about 13 MB.
+EVAL_WORKER_CHUNK = 4
 
 
 class TrainerError(RuntimeError):
@@ -110,8 +117,46 @@ def _encode_all(samples: list[ImageMaskSample], factor: int):
     return np.stack(z0s), np.stack(conds), cats
 
 
-def _chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+def _chunk_ranges(start: int, stop: int, chunk: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + chunk, stop)) for lo in range(start, stop, chunk)]
+
+
+def _shares(total: int, parts: int) -> list[tuple[int, int]]:
+    """``range(total)`` as at most ``parts`` contiguous ranges whose sizes differ by at most one."""
+    parts = max(1, min(parts, total))
+    size, extra = divmod(total, parts)
+    bounds = [k * size + min(k, extra) for k in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_ranges(fn, ranges: list[tuple[int, int]], threads: int) -> list:
+    """``[fn(lo, hi) for lo, hi in ranges]``, run on up to ``threads`` threads.
+
+    The ranges are dealt out in contiguous groups, one per thread. The
+    calling thread runs the first group itself: it reuses memory it already
+    holds, where a worker's working set is all new. Results come back in
+    range order. Every worker has finished before this returns or raises,
+    and the error raised is the first in range order.
+    """
+    groups = [ranges[a:b] for a, b in _shares(len(ranges), threads)]
+
+    def run_group(group):
+        return [fn(lo, hi) for lo, hi in group]
+
+    if len(groups) == 1:
+        return run_group(groups[0])
+    with ThreadPoolExecutor(max_workers=len(groups) - 1) as pool:
+        futures = [pool.submit(run_group, group) for group in groups[1:]]
+        done = [run_group(groups[0])] + [f.result() for f in futures]
+    return [result for group in done for result in group]
 
 
 def _opt_tensors(state: AdamWState) -> dict[str, np.ndarray]:
@@ -274,62 +319,52 @@ def train(
         steps_run = 0
         ckpt_every = tc.checkpoint_every
         started = time.monotonic()
-        pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-        try:
-            with open(log_path, "a", encoding="utf-8") as log_fh:
-                for step in range(start_step, tc.steps):
-                    rng = step_rng(tc.seed, TAG_STEP, step)
-                    # Canonical draw order; every run consumes the stream identically.
-                    idx = rng.integers(0, n, size=tc.batch)
-                    t_draw = rng.integers(0, schedule.timesteps, size=tc.batch)
-                    eps_draw = rng.standard_normal((tc.batch,) + latent_shape)
-                    cats = [drop_condition(cats_all[i], tc.p_drop, rng) for i in idx]
+        with open(log_path, "a", encoding="utf-8") as log_fh:
+            for step in range(start_step, tc.steps):
+                rng = step_rng(tc.seed, TAG_STEP, step)
+                # Canonical draw order; every run consumes the stream identically.
+                idx = rng.integers(0, n, size=tc.batch)
+                t_draw = rng.integers(0, schedule.timesteps, size=tc.batch)
+                eps_draw = rng.standard_normal((tc.batch,) + latent_shape)
+                cats = [drop_condition(cats_all[i], tc.p_drop, rng) for i in idx]
 
-                    ranges = _chunk_ranges(tc.batch, tc.chunk)
-                    if pool is None:
-                        results = [run_chunk(lo, hi, idx, t_draw, eps_draw, cats) for lo, hi in ranges]
-                    else:
-                        futures = [
-                            pool.submit(run_chunk, lo, hi, idx, t_draw, eps_draw, cats)
-                            for lo, hi in ranges
-                        ]
-                        results = [f.result() for f in futures]
+                ranges = _chunk_ranges(0, tc.batch, tc.chunk)
+                results = _run_ranges(
+                    lambda lo, hi: run_chunk(lo, hi, idx, t_draw, eps_draw, cats), ranges, threads
+                )
 
-                    # Reduce in chunk-index order: the sum is one fixed sequence.
-                    loss_value = 0.0
-                    grad_acc: dict[str, np.ndarray] = {}
-                    for (lo, hi), (chunk_loss, chunk_grads) in zip(ranges, results):
-                        weight = (hi - lo) / tc.batch
-                        loss_value += weight * chunk_loss
-                        for name, g in chunk_grads.items():
-                            if name in grad_acc:
-                                grad_acc[name] += weight * g
-                            else:
-                                grad_acc[name] = weight * g
+                # Reduce in chunk-index order: the sum is one fixed sequence.
+                loss_value = 0.0
+                grad_acc: dict[str, np.ndarray] = {}
+                for (lo, hi), (chunk_loss, chunk_grads) in zip(ranges, results):
+                    weight = (hi - lo) / tc.batch
+                    loss_value += weight * chunk_loss
+                    for name, g in chunk_grads.items():
+                        if name in grad_acc:
+                            grad_acc[name] += weight * g
+                        else:
+                            grad_acc[name] = weight * g
 
-                    _check_finite(step, loss_value, named, grad_acc)
-                    adamw_step(named, grad_acc, opt_state, opt_config)
+                _check_finite(step, loss_value, named, grad_acc)
+                adamw_step(named, grad_acc, opt_state, opt_config)
 
-                    if first_loss is None:
-                        first_loss = loss_value
-                    final_loss = loss_value
-                    steps_run += 1
-                    log_fh.write(f"{step}\t{loss_value:.12e}\t{time.monotonic() - started:.3f}\n")
-                    log_fh.flush()
-                    if (step + 1) % 100 == 0 or step + 1 == tc.steps:
-                        log.info("step %d/%d loss %.6f", step + 1, tc.steps, loss_value)
+                if first_loss is None:
+                    first_loss = loss_value
+                final_loss = loss_value
+                steps_run += 1
+                log_fh.write(f"{step}\t{loss_value:.12e}\t{time.monotonic() - started:.3f}\n")
+                log_fh.flush()
+                if (step + 1) % 100 == 0 or step + 1 == tc.steps:
+                    log.info("step %d/%d loss %.6f", step + 1, tc.steps, loss_value)
 
-                    done = step + 1
-                    stopping = stop_after is not None and done - start_step >= stop_after
-                    if done % ckpt_every == 0 or done == tc.steps or stopping:
-                        ckpt = out_dir / f"ckpt-{done:06d}.lcgc"
-                        # One serialisation for both files; the bytes are freed before the next step.
-                        write_atomic(latest, save_checkpoint(ckpt, named, _opt_tensors(opt_state), done, config_text))
-                    if stopping:
-                        break
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                done = step + 1
+                stopping = stop_after is not None and done - start_step >= stop_after
+                if done % ckpt_every == 0 or done == tc.steps or stopping:
+                    ckpt = out_dir / f"ckpt-{done:06d}.lcgc"
+                    # One serialisation for both files; the bytes are freed before the next step.
+                    write_atomic(latest, save_checkpoint(ckpt, named, _opt_tensors(opt_state), done, config_text))
+                if stopping:
+                    break
 
     return TrainResult(
         steps_run=steps_run,
@@ -358,16 +393,24 @@ def evaluate_samples(
     count: int | None = None,
     steps: int | None = None,
     seed: int | None = None,
+    threads: int | None = None,
 ) -> list[EvalSample]:
     """Infill the first ``count`` held-out samples and score each masked region.
 
-    Items are filled ``EVAL_CHUNK`` at a time, which bounds memory for any
-    ``count``; ``denoise`` is batch-invariant, so the chunking changes no bit.
+    The items are split into one contiguous share per thread (``None``: one
+    per usable core). The calling thread fills its share ``EVAL_CHUNK``
+    items at a time and each worker ``EVAL_WORKER_CHUNK`` at a time, which
+    bounds memory for any ``count``. Every item draws from its own generator
+    and ``denoise`` is batch-invariant, so neither the shares nor the chunks
+    change a bit.
     """
     ev = config.eval
     count = min(ev.count if count is None else count, len(heldout))
     if count < 1:
         raise TrainerError("no held-out samples to evaluate")
+    threads = _usable_cores() if threads is None else threads
+    if threads < 1:
+        raise TrainerError(f"threads must be >= 1, got {threads}")
     steps = ev.steps if steps is None else steps
     seed = ev.seed if seed is None else seed
     records = heldout[:count]
@@ -379,24 +422,31 @@ def evaluate_samples(
     masked = images * (1.0 - masks.astype(np.float64))[..., None]
     categories = [rec.category for rec in records]
     rngs = [step_rng(seed, TAG_EVAL, k) for k in range(count)]
-    filled = np.concatenate(
-        [
-            sample(
-                params,
-                schedule,
-                table,
-                masked[lo:hi],
-                masks[lo:hi],
-                categories[lo:hi],
-                rngs[lo:hi],
-                steps=steps,
-                scale=config.sample.scale,
-                guidance=config.sample.guidance,
-                latent_composite=config.sample.latent_composite,
-            )
-            for lo, hi in _chunk_ranges(count, EVAL_CHUNK)
-        ]
-    )
+    caller = threading.get_ident()
+
+    def fill(lo: int, hi: int) -> np.ndarray:
+        chunk = EVAL_CHUNK if threading.get_ident() == caller else EVAL_WORKER_CHUNK
+        return np.concatenate(
+            [
+                sample(
+                    params,
+                    schedule,
+                    table,
+                    masked[a:b],
+                    masks[a:b],
+                    categories[a:b],
+                    rngs[a:b],
+                    steps=steps,
+                    scale=config.sample.scale,
+                    guidance=config.sample.guidance,
+                    latent_composite=config.sample.latent_composite,
+                )
+                for a, b in _chunk_ranges(lo, hi, chunk)
+            ]
+        )
+
+    shares = _shares(count, threads)
+    filled = np.concatenate(_run_ranges(fill, shares, len(shares)))
     return [
         EvalSample(
             coverage=float(np.asarray(mask, np.float64).mean()),
@@ -416,9 +466,10 @@ def evaluate_heldout(
     count: int | None = None,
     steps: int | None = None,
     seed: int | None = None,
+    threads: int | None = None,
 ) -> float:
     """Mean masked-region L1 between held-out images and their infills."""
-    scored = evaluate_samples(config, params, table, schedule, heldout, count, steps, seed)
+    scored = evaluate_samples(config, params, table, schedule, heldout, count, steps, seed, threads)
     return float(np.mean([s.l1 for s in scored]))
 
 

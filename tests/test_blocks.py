@@ -85,15 +85,14 @@ def test_cross_stage_adds_one_bias_row_to_every_token():
     np.testing.assert_array_equal(out, hs.data + bias)
 
 
-def test_duplicated_embedding_tokens_are_order_invariant():
+def test_embedding_tokens_are_order_invariant():
     params = _params(11)
     h = _stream(12)
-    row = np.random.default_rng(13).standard_normal((1, DE))
-    e_dup = Tensor(np.vstack([row, row, row]))
-    swapped = Tensor(np.vstack([row, row, row]))
-    out_a = cross_decode(h, e_dup, params).data
-    out_b = cross_decode(h, swapped, params).data
-    np.testing.assert_array_equal(out_a, out_b)
+    rows = np.random.default_rng(13).standard_normal((3, DE))
+    out_a = cross_decode(h, Tensor(rows), params).data
+    out_b = cross_decode(h, Tensor(rows[[2, 0, 1]]), params).data
+    # The token mean sums in another order, so only the last bits may differ.
+    np.testing.assert_allclose(out_a, out_b, rtol=1e-12, atol=1e-14)
 
 
 def test_interaction_forward_is_the_two_stage_composition():

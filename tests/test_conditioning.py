@@ -14,9 +14,9 @@ from lcgdiff.conditioning import (
     compose_background_mask,
     drop_condition,
     embed,
-    foreground_mask,
     init_embedding_table,
     scan_samples,
+    validate_binary_mask,
 )
 from lcgdiff.tensor import Tape, Tensor, backward
 
@@ -27,11 +27,11 @@ def test_kind_to_category_mapping_is_exact():
         assert category_for_kind(kind) is Category.BACKGROUND
 
 
-def test_foreground_mask_validates_and_preserves():
+def test_validate_binary_mask_validates_and_preserves():
     mask = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-    np.testing.assert_array_equal(foreground_mask(mask), mask)
+    np.testing.assert_array_equal(validate_binary_mask(mask), mask)
     with pytest.raises(MaskError, match="binary"):
-        foreground_mask(np.array([[0.0, 0.5], [1.0, 0.0]]))
+        validate_binary_mask(np.array([[0.0, 0.5], [1.0, 0.0]]))
 
 
 def _components():

@@ -29,6 +29,11 @@ def _random_instance(rng, length, dk, dv, lead=()):
     return q, k, v, alpha, beta
 
 
+def _swap_last(x):
+    """Transpose the trailing two axes, leaving batch dimensions alone."""
+    return T.transpose(x, tuple(range(x.data.ndim - 2)) + (x.data.ndim - 1, x.data.ndim - 2))
+
+
 def _per_token_attend(q, k, v, alpha, beta):
     """The recurrence composed from tape primitives one token at a time.
 
@@ -37,8 +42,8 @@ def _per_token_attend(q, k, v, alpha, beta):
     """
     q, k, v, alpha, beta = (T.as_tensor(t) for t in (q, k, v, alpha, beta))
     state = Tensor(np.zeros(q.shape[:-2] + (q.shape[-1], v.shape[-1])))
-    k_cols = T.swap_last(k)
-    a_cols = T.swap_last(alpha)
+    k_cols = _swap_last(k)
+    a_cols = _swap_last(alpha)
     reads = []
     for t in range(q.shape[-2]):
         gate = T.matmul(T.narrow(a_cols, -1, t, 1), T.narrow(beta, -2, t, 1))

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,16 @@ def tiny_config():
     c.eval.count = 2
     c.eval.steps = 3
     return c
+
+
+def _noisy_model(seed=14):
+    """Tiny-config weights drawn at random: zero-initialised outputs would make every fill alike."""
+    config = tiny_config()
+    params, table = build_model(config, step_rng(0, 1, 0))
+    rng = np.random.default_rng(seed)
+    for t in {**params.named_params(), **table.named_params()}.values():
+        t.data[...] = rng.standard_normal(t.data.shape) * 0.1
+    return config, params, table
 
 
 def make_samples(config, n=None, seed=5):
@@ -306,20 +317,83 @@ class TestEvaluate:
             evaluate_samples(config, params, table, schedule_config(config), heldout + [big], count=2)
 
     def test_chunked_fill_matches_one_batch_bitwise(self, monkeypatch):
-        config = tiny_config()
-        params, table = build_model(config, step_rng(0, 1, 0))
-        rng = np.random.default_rng(14)
-        for t in {**params.named_params(), **table.named_params()}.values():
-            t.data[...] = rng.standard_normal(t.data.shape) * 0.1  # zero-initialised outputs would make every fill alike
+        config, params, table = _noisy_model()
         heldout = make_samples(config, n=5, seed=15)
         schedule = schedule_config(config)
         filled = []
         sample = trainer_module.sample
         monkeypatch.setattr(trainer_module, "sample", lambda *a, **k: filled.append(sample(*a, **k)) or filled[-1])
 
-        whole = evaluate_samples(config, params, table, schedule, heldout, count=5)
+        whole = evaluate_samples(config, params, table, schedule, heldout, count=5, threads=1)
         monkeypatch.setattr(trainer_module, "EVAL_CHUNK", 2)
-        chunked = evaluate_samples(config, params, table, schedule, heldout, count=5)
+        chunked = evaluate_samples(config, params, table, schedule, heldout, count=5, threads=1)
         assert [len(f) for f in filled] == [5, 2, 2, 1]
         assert np.array_equal(filled[0], np.concatenate(filled[1:]))
         assert chunked == whole
+
+    def test_fill_is_bitwise_equal_at_any_thread_count(self, monkeypatch):
+        config, params, table = _noisy_model()
+        heldout = make_samples(config, n=5, seed=15)
+        schedule = schedule_config(config)
+        calls, fills = [], []
+        sample, masked_l1 = trainer_module.sample, trainer_module.masked_l1
+
+        def traced_sample(*args, **kwargs):
+            calls.append((threading.get_ident(), len(args[3])))
+            return sample(*args, **kwargs)
+
+        def traced_l1(image, out, mask):
+            fills.append(out)  # scored in item order, after the shares are joined
+            return masked_l1(image, out, mask)
+
+        monkeypatch.setattr(trainer_module, "sample", traced_sample)
+        monkeypatch.setattr(trainer_module, "masked_l1", traced_l1)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the shares as finely as the interpreter allows
+        try:
+            runs = {}
+            # (threads, worker chunk): the sampler calls' sizes in order, thread by thread
+            cases = {(1, 4): [[5]], (2, 4): [[3], [2]], (3, 4): [[2], [2], [1]], (2, 1): [[3], [1, 1]]}
+            for (threads, worker_chunk), sizes in cases.items():
+                monkeypatch.setattr(trainer_module, "EVAL_WORKER_CHUNK", worker_chunk)
+                del calls[:], fills[:]
+                scored = evaluate_samples(config, params, table, schedule, heldout, count=5, threads=threads)
+                by_thread = {}
+                for ident, size in calls:
+                    by_thread.setdefault(ident, []).append(size)
+                assert by_thread.pop(threading.get_ident()) == sizes[0]  # the caller fills the first share
+                assert sorted(by_thread.values()) == sorted(sizes[1:])
+                runs[threads, worker_chunk] = (np.stack(fills), scored)
+        finally:
+            sys.setswitchinterval(switch)
+        for fill, scored in runs.values():
+            assert fill.tobytes() == runs[1, 4][0].tobytes()
+            assert scored == runs[1, 4][1]
+        assert len({f.tobytes() for f in runs[1, 4][0]}) == 5
+
+    @pytest.mark.parametrize("failing_share", [0, 1])
+    def test_failing_share_raises_after_every_worker_ends(self, monkeypatch, failing_share):
+        config, params, table = _noisy_model()
+        heldout = make_samples(config, n=5, seed=15)
+        finished = []
+        sample = trainer_module.sample
+
+        def flaky_sample(*args, **kwargs):
+            share = 0 if len(args[3]) == 3 else 1  # five items in two shares: three, then two
+            if share == failing_share:
+                raise RuntimeError(f"share {share} failed")
+            out = sample(*args, **kwargs)
+            finished.append(share)
+            return out
+
+        monkeypatch.setattr(trainer_module, "sample", flaky_sample)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"share {failing_share} failed"):
+            evaluate_samples(config, params, table, schedule_config(config), heldout, count=5, threads=2)
+        assert finished == [1 - failing_share]
+        assert threading.active_count() == before
+
+    def test_threads_below_one_rejected(self):
+        config, params, table = _noisy_model()
+        with pytest.raises(TrainerError, match="threads"):
+            evaluate_samples(config, params, table, schedule_config(config), make_samples(config, n=1), threads=0)
